@@ -420,8 +420,6 @@ std::string ToCanonicalJson(const FaultScenarioSummary& s) {
     out += "  },\n";
   }
   AppendF(&out, "  \"channel_busy_pct\": %.3f,\n", s.channel_busy_pct);
-  AppendF(&out, "  \"events_executed\": %llu,\n",
-          static_cast<unsigned long long>(s.events_executed));
   if (s.wmm_ran) {
     AppendF(&out,
             "  \"wmm\": {\"detected\": %s, \"prioritized_runs\": %d, "

@@ -113,6 +113,8 @@ struct FaultScenarioSummary {
 
   // Environment.
   double channel_busy_pct = 0.0;
+  /// Real event-loop dispatches. An implementation count, not behaviour:
+  /// deliberately left out of ToCanonicalJson.
   std::uint64_t events_executed = 0;
 
   // WMM detection pass (only when the scenario asked for it).

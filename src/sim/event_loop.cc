@@ -211,7 +211,10 @@ inline void EventLoop::Dispatch(std::uint32_t slot_index, Time at) {
       slot.occupied = true;
       ++live_;
       if (rearm_type_ != nullptr) slot.type = rearm_type_;
-      if (rearm_at_ <= now_) {
+      if (rearm_seq_ != 0) {
+        InsertEntry(MakeEntry(std::max(rearm_at_, now_), rearm_seq_,
+                              slot_index));
+      } else if (rearm_at_ <= now_) {
         now_queue_.push_back(std::uint32_t{slot_index});
       } else {
         InsertTimer(rearm_at_, slot_index);

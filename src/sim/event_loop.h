@@ -21,6 +21,12 @@ using EventId = std::uint64_t;
 /// Type tag given to events scheduled through the untyped overloads.
 inline constexpr const char kDefaultEventType[] = "event";
 
+/// A reserved position in the loop's same-tick order (EventLoop::TakeTicket).
+/// `seq` 0 is never issued.
+struct Ticket {
+  std::uint32_t seq = 0;
+};
+
 /// Pending-timer store selection (see EventLoop). kWheel is the production
 /// configuration: a two-level hierarchical timer wheel absorbs the dense
 /// short-horizon timers (frame airtimes, SIFS gaps, RTO guards) in O(1) and
@@ -158,16 +164,55 @@ class EventLoop {
   void RearmCurrentAt(Time at, const char* type = nullptr) {
     rearm_pending_ = true;
     rearm_at_ = at;
+    rearm_seq_ = 0;
     rearm_type_ = type;
   }
 
-  /// Records `count` logical event executions that were batched into the
-  /// current dispatch instead of being scheduled individually (the wifi
-  /// burst-delivery path invokes owner hooks inline). Keeps executed() — an
-  /// observable that the golden corpus commits to — stable across the
-  /// batching optimization. Callers fire the probe themselves when one is
-  /// attached (see probe()).
-  void CountInlineDispatches(std::uint64_t count) { executed_ += count; }
+  /// Reserves the tie-break position a timer scheduled right now would get.
+  /// An event armed later with the ticket (the Ticket overloads below) runs
+  /// at its time in exactly the place among same-time events that an event
+  /// scheduled at the moment of TakeTicket() would have taken: after every
+  /// timer scheduled before the ticket was taken, before every one scheduled
+  /// after it, and before the same-tick lane. That lets one long-lived event
+  /// stand in for a series of per-packet or per-ACK timers without moving a
+  /// single (time, seq) tie (net::WiredLink's delivery line, TcpSender's RTO
+  /// deadline; DESIGN.md §17). The equivalence holds for events due after the
+  /// tick the ticket was taken in: a plain event scheduled for the current
+  /// tick would have joined the same-tick lane instead.
+  ///
+  /// A ticket costs one sequence number and nothing else; an unused one is
+  /// simply dropped. It keeps its place until the 32-bit sequence counter
+  /// wraps (once per 2^32 - 1 timers; RenumberSequences cannot see tickets
+  /// held outside the loop), after which it still fires at its time but ties
+  /// after the renumbered events.
+  [[nodiscard]] Ticket TakeTicket() {
+    if (next_seq_ == kMaxSeq) RenumberSequences();
+    return Ticket{next_seq_++};
+  }
+
+  /// ScheduleRearmableAt with a reserved tie-break position (`at` is clamped
+  /// to now(); even then the event orders by its ticket among the timers of
+  /// the current tick, ahead of the same-tick lane).
+  template <typename F, typename = EnableIfCallable<F>>
+  EventId ScheduleRearmableAt(Time at, Ticket ticket, const char* type,
+                              F&& fn) {
+    const std::uint32_t slot_index = AcquireSlot();
+    Slot& slot = SlotAt(slot_index);
+    slot.fn.Emplace(std::forward<F>(fn));
+    slot.type = type;
+    slot.rearmable = true;
+    InsertEntry(MakeEntry(std::max(at, now_), ticket.seq, slot_index));
+    ++live_;
+    return MakeId(slot_index, slot.generation);
+  }
+
+  /// RearmCurrentAt with a reserved tie-break position (see TakeTicket).
+  void RearmCurrentAt(Time at, Ticket ticket) {
+    rearm_pending_ = true;
+    rearm_at_ = at;
+    rearm_seq_ = ticket.seq;
+    rearm_type_ = nullptr;
+  }
 
   /// Attaches (or with nullptr detaches) the execution probe.
   void SetProbe(EventLoopProbe* probe) { probe_ = probe; }
@@ -420,12 +465,19 @@ class EventLoop {
                 "an L1 bucket must span exactly kL0Buckets L0 ticks — the "
                 "cascade routes straight into the L0 ring");
 
-  /// Routes one pending timer entry (at > now_) to the drain run, a wheel
-  /// bucket, or the overflow heap. Hot: inlined into the ScheduleAt
-  /// template.
+  /// Routes one pending timer (at > now_) with the next sequence number.
+  /// Hot: inlined into the ScheduleAt template.
   void InsertTimer(Time at, std::uint32_t slot_index) {
     if (next_seq_ == kMaxSeq) RenumberSequences();
-    const HeapEntry entry = MakeEntry(at, next_seq_++, slot_index);
+    InsertEntry(MakeEntry(at, next_seq_++, slot_index));
+  }
+
+  /// Routes one pending timer entry to the drain run, a wheel bucket, or the
+  /// overflow heap. The entry's time is >= now_; it equals now_ only for a
+  /// ticketed event armed for the current tick, which lands in the drain
+  /// run (or the heap) and pops in key order before the same-tick lane.
+  void InsertEntry(const HeapEntry entry) {
+    const Time at = EntryTime(entry);
     if (mode_ == SchedulerMode::kHeapOnly ||
         TimerEntries() < kWheelMinPopulation) {
       // Sparse regime (or heap-only mode): see kWheelMinPopulation. The
@@ -450,9 +502,10 @@ class EventLoop {
     }
     const auto tick = static_cast<std::uint64_t>(at) >> kL0Shift;
     if (tick <= scanned_tick_) {
-      // Already-scanned tick: join the sorted drain run. Every popped key
-      // has time <= now_ < at, so the insert position is at or after
-      // drain_head_ and the popped prefix is undisturbed.
+      // Already-scanned tick: join the sorted drain run. The search starts
+      // at drain_head_, so the popped prefix is undisturbed (every popped
+      // key has time <= now_ <= at; a ticketed entry for the current tick
+      // is placed among the keys that have not run yet).
       const auto it = std::upper_bound(drain_.begin() + drain_head_,
                                        drain_.end(), entry);
       drain_.insert(it, entry);
@@ -560,6 +613,7 @@ class EventLoop {
   /// never run the loop recursively), so one latch suffices.
   bool rearm_pending_ = false;
   Time rearm_at_ = 0;
+  std::uint32_t rearm_seq_ = 0;  ///< ticket of a ticketed rearm, else 0.
   const char* rearm_type_ = nullptr;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;

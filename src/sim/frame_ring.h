@@ -74,6 +74,19 @@ class FrameRing {
   /// Copying overload for lvalue callers (tests, replay tooling).
   bool push_back(const T& value) { return push_back(T(value)); }
 
+  /// Brace-initializes an element directly in its ring cell (aggregates
+  /// included), with push_back's drop-tail contract: no temporary element
+  /// is materialized and copied in.
+  template <typename... Args>
+  bool emplace_back(Args&&... args) {
+    if (size_ >= capacity_) return false;
+    if (size_ == SlotCount()) Grow();
+    ::new (static_cast<void*>(slots_ + ((head_ + size_) & mask_)))
+        T{std::forward<Args>(args)...};
+    ++size_;
+    return true;
+  }
+
   void pop_front() {
     assert(size_ > 0);
     slots_[head_].~T();

@@ -108,15 +108,42 @@ void TcpSender::SendSegment(std::int64_t seq, bool retransmission) {
 }
 
 void TcpSender::ArmRto() {
-  if (rto_event_ != 0) loop_.Cancel(rto_event_);
-  const sim::Duration timeout =
-      std::min(config_.max_rto, rto_ << rto_backoff_);
-  auto fire_rto = [this] {
+  rto_deadline_ =
+      loop_.now() + std::min(config_.max_rto, rto_ << rto_backoff_);
+  rto_ticket_ = loop_.TakeTicket();
+  if (rto_firing_ != 0) {
+    rto_event_ = rto_firing_;  // FireRto re-arms the firing event.
+    return;
+  }
+  if (rto_event_ != 0) {
+    // A later deadline (every new-data ACK) only moves the field: the
+    // pending event fires early and re-arms itself. Only a deadline before
+    // the pending event (rto_ shrank) needs a new event.
+    if (rto_deadline_ >= rto_event_at_) return;
+    loop_.Cancel(rto_event_);
+  }
+  auto fire_rto = [this] { FireRto(); };
+  static_assert(sim::InlineTask::fits_inline<decltype(fire_rto)>);
+  rto_event_at_ = rto_deadline_;
+  rto_event_ticket_ = rto_ticket_;
+  rto_event_ = loop_.ScheduleRearmableAt(rto_deadline_, rto_ticket_, "tcp.rto",
+                                         std::move(fire_rto));
+}
+
+void TcpSender::FireRto() {
+  if (rto_ticket_.seq == rto_event_ticket_.seq) {
+    // This firing is the deadline itself: a real timeout.
+    rto_firing_ = rto_event_;
     rto_event_ = 0;
     OnRto();
-  };
-  static_assert(sim::InlineTask::fits_inline<decltype(fire_rto)>);
-  rto_event_ = loop_.ScheduleIn(timeout, "tcp.rto", std::move(fire_rto));
+    rto_firing_ = 0;
+    if (rto_event_ == 0) return;  // not re-armed: the chain ends.
+  }
+  // The deadline moved since this event was armed (or OnRto set a new one):
+  // sleep until it, keeping the tie-break position it was set with.
+  rto_event_at_ = rto_deadline_;
+  rto_event_ticket_ = rto_ticket_;
+  loop_.RearmCurrentAt(rto_deadline_, rto_ticket_);
 }
 
 void TcpSender::OnRto() {

@@ -85,7 +85,10 @@ class TcpSender {
  private:
   void TrySend();
   void SendSegment(std::int64_t seq, bool retransmission);
+  /// Sets the RTO deadline to now + min(max_rto, rto << backoff).
   void ArmRto();
+  /// "tcp.rto" body: a real timeout at the deadline, else re-arms for it.
+  void FireRto();
   void OnRto();
   void EnterFastRecovery();
   void SyncPacer();
@@ -113,7 +116,16 @@ class TcpSender {
   sim::Duration srtt_ = 0;
   sim::Duration rttvar_ = 0;
   sim::Duration rto_ = sim::Seconds(1);
+  /// Deadline-based RTO (DESIGN.md §17): ACKs move rto_deadline_ and
+  /// rto_ticket_ only; the one pending "tcp.rto" event (rto_event_, due at
+  /// rto_event_at_ with rto_event_ticket_) re-arms itself when it finds the
+  /// deadline moved. rto_firing_ holds the event's id while OnRto runs.
+  sim::Time rto_deadline_ = 0;
+  sim::Ticket rto_ticket_;
   sim::EventId rto_event_ = 0;
+  sim::Time rto_event_at_ = 0;
+  sim::Ticket rto_event_ticket_;
+  sim::EventId rto_firing_ = 0;
   int rto_backoff_ = 0;
   std::int64_t rtt_probe_seq_ = -1;   ///< segment being timed (Karn's rule).
   sim::Time rtt_probe_sent_ = 0;

@@ -232,9 +232,8 @@ class Channel {
   /// Airtime of `f` through the shared shape cache (profiled when a
   /// StageProfile is attached).
   [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f);
-  /// Invokes every staged owner hook (batching mode), counting each as a
-  /// logical dispatch so EventLoop::executed() — a golden-corpus observable —
-  /// matches the scheduled-delivery path exactly.
+  /// Invokes every staged owner hook (batching mode) inside the current
+  /// dispatch.
   void DrainStagedDeliveries();
   void BeginIdlePeriod();
   void ScheduleArbitration();

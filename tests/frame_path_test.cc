@@ -808,12 +808,32 @@ TEST(EventLoopRearm, NotRearmingReleasesTheSlot) {
   EXPECT_FALSE(loop.Cancel(id));
 }
 
-TEST(EventLoopRearm, CountInlineDispatchesFeedsExecuted) {
-  sim::EventLoop loop;
-  loop.ScheduleAt(1, "test.batch", [&] { loop.CountInlineDispatches(41); });
-  loop.Run();
-  // 1 real dispatch + 41 logical inline ones.
-  EXPECT_EQ(loop.executed(), 42u);
+TEST(EventLoopRearm, TicketedEventTiesInTheTicketsPlace) {
+  for (const auto mode : {sim::SchedulerMode::kWheel,
+                          sim::SchedulerMode::kHeapOnly}) {
+    sim::EventLoop loop(mode);
+    std::string order;
+    loop.ScheduleAt(100, "test.a", [&] { order += 'a'; });
+    const sim::Ticket early = loop.TakeTicket();
+    loop.ScheduleAt(100, "test.b", [&] { order += 'b'; });
+    const sim::Ticket late = loop.TakeTicket();
+    loop.ScheduleAt(100, "test.c", [&] { order += 'c'; });
+    // Armed at 50, long after its ticket was taken, the event still ties at
+    // 100 where the ticket put it; its same-tick rearm with the later ticket
+    // runs after b, and both run ahead of the same-tick lane (s).
+    loop.ScheduleAt(50, "test.arm", [&] {
+      loop.ScheduleRearmableAt(100, early, "test.t", [&] {
+        order += 't';
+        if (order.size() == 2) {
+          loop.ScheduleAt(loop.now(), "test.s", [&] { order += 's'; });
+          loop.RearmCurrentAt(loop.now(), late);
+        }
+      });
+      loop.ScheduleAt(100, "test.d", [&] { order += 'd'; });
+    });
+    loop.Run();
+    EXPECT_EQ(order, "atbtcds");
+  }
 }
 
 // ------------------------------------------------- burst delivery batching ----
@@ -892,11 +912,11 @@ TEST(BurstDelivery, HookOrderAndTimestampsIdenticalBatchingOnAndOff) {
   off.RunFor(sim::Millis(200));
   ASSERT_GT(on.deliveries().size(), 500u);
   // The whole contract in one comparison: every delivery hook fires for the
-  // same frame at the same sim tick in the same order, and the logical
-  // event count (CountInlineDispatches compensation) matches the scheduled
-  // path exactly.
+  // same frame at the same sim tick in the same order.
   EXPECT_EQ(on.deliveries(), off.deliveries());
-  EXPECT_EQ(on.executed(), off.executed());
+  // executed() counts real dispatches: batching saves exactly the one
+  // "wifi.deliver" event per delivered frame.
+  EXPECT_EQ(off.executed() - on.executed(), off.deliveries().size());
   // The batching run must actually have exercised the rearm continuation.
   EXPECT_GT(on.channel().txop_continuations(), 0u);
   EXPECT_EQ(on.channel().txop_continuations(),
@@ -913,9 +933,11 @@ TEST(BurstDelivery, StageOverflowFallsBackToScheduledDelivery) {
   starved.RunFor(sim::Millis(100));
   ASSERT_GT(normal.deliveries().size(), 300u);
   // The fallback is a same-tick scheduled event, so frames, order and
-  // timestamps are unchanged — only the vehicle differs.
+  // timestamps are unchanged — only the vehicle differs: one real
+  // "wifi.deliver" dispatch per frame.
   EXPECT_EQ(normal.deliveries(), starved.deliveries());
-  EXPECT_EQ(normal.executed(), starved.executed());
+  EXPECT_EQ(starved.executed() - normal.executed(),
+            starved.deliveries().size());
 }
 
 // ------------------------------------- golden corpus batching differential ----
@@ -946,7 +968,7 @@ TEST(GoldenCorpusBatchingDifferential, ByteIdenticalWithBatchingOnAndOff) {
     wifi::Channel::SetDefaultDeliveryBatchingForTest(true);
 
     // Byte-identical against each other AND against the committed corpus:
-    // batching may not move a single observable, including events_executed.
+    // batching may not move a single simulated result.
     EXPECT_EQ(with_batching, without_batching) << entry.path();
     std::ifstream want(fs::path(entry.path()).replace_extension(
                            ".expected.json"),

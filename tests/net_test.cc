@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "net/checksum.h"
@@ -165,9 +166,13 @@ TEST(WiredLink, DeliversAfterSerializationAndPropagation) {
   Packet p;
   p.size_bytes = 1000;  // 1 ms serialization.
   link.Send(p);
+  // After an idle gap the serializer starts at the send time, not where
+  // the previous packet left it.
+  loop.ScheduleAt(sim::Millis(10), [&] { link.Send(p); });
   loop.Run();
-  ASSERT_EQ(arrivals.size(), 1u);
+  ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], sim::Millis(3));
+  EXPECT_EQ(arrivals[1], sim::Millis(13));
 }
 
 TEST(WiredLink, BackToBackPacketsSerialize) {
@@ -183,17 +188,21 @@ TEST(WiredLink, BackToBackPacketsSerialize) {
   p.size_bytes = 1000;
   link.Send(p);
   link.Send(p);
+  p.size_bytes = 500;
+  link.Send(p);
   loop.Run();
-  ASSERT_EQ(arrivals.size(), 2u);
+  // Spaced by exactly each packet's own serialization time.
+  ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], sim::Millis(1));
   EXPECT_EQ(arrivals[1], sim::Millis(2));
+  EXPECT_EQ(arrivals[2], sim::Micros(2500));
 }
 
 TEST(WiredLink, DropsWhenQueueFull) {
   sim::EventLoop loop;
   int delivered = 0;
   WiredLink::Config config;
-  config.rate_bps = 8'000;  // very slow
+  config.rate_bps = 8'000;  // very slow: 100 ms per packet.
   config.queue_capacity_packets = 3;
   auto on_arrival = [&](Packet) { ++delivered; };
   WiredLink link(loop, config, on_arrival);
@@ -201,9 +210,19 @@ TEST(WiredLink, DropsWhenQueueFull) {
   Packet p;
   p.size_bytes = 100;
   for (int i = 0; i < 10; ++i) link.Send(p);
-  EXPECT_GT(link.dropped(), 0u);
+  EXPECT_EQ(link.dropped(), 7u);
+  EXPECT_EQ(link.queue_length(), 3u);
+  // The queue counts only packets still serializing: the first one is on
+  // the wire (propagating) at 100 ms, which frees one place.
+  loop.RunUntil(sim::Millis(100));
+  EXPECT_EQ(link.queue_length(), 2u);
+  EXPECT_EQ(link.delivered(), 1u);
+  EXPECT_EQ(delivered, 0);
+  link.Send(p);
+  link.Send(p);
+  EXPECT_EQ(link.dropped(), 8u);
   loop.Run();
-  EXPECT_EQ(delivered + static_cast<int>(link.dropped()), 10);
+  EXPECT_EQ(delivered + static_cast<int>(link.dropped()), 12);
 }
 
 TEST(WiredLink, PreservesOrder) {
@@ -232,6 +251,97 @@ TEST(WiredLink, CountsDelivered) {
   loop.Run();
   EXPECT_EQ(link.delivered(), 2u);
   EXPECT_EQ(link.queue_length(), 0u);
+}
+
+TEST(WiredLink, DeliveryKeepsItsTieBreakPlace) {
+  // A delivery ties with other events at its arrival time exactly like an
+  // event scheduled at the moment of Send would: after events scheduled
+  // earlier, before events scheduled later. That holds for the line head
+  // and for a packet whose delivery event is re-armed behind it.
+  sim::EventLoop loop;
+  std::string order;
+  WiredLink::Config config;
+  config.rate_bps = 8'000'000;
+  config.propagation = sim::Millis(2);
+  auto on_arrival = [&](Packet p) {
+    order += static_cast<char>('0' + p.id);
+  };
+  WiredLink link(loop, config, on_arrival);
+  Packet p;
+  p.size_bytes = 1000;  // 1 ms each: arrivals at 3 and 4 ms.
+  loop.ScheduleAt(sim::Millis(3), [&] { order += 'a'; });
+  p.id = 1;
+  link.Send(p);
+  p.id = 2;
+  link.Send(p);
+  loop.ScheduleAt(sim::Millis(3), [&] { order += 'b'; });
+  loop.ScheduleAt(sim::Millis(4), [&] { order += 'c'; });
+  loop.Run();
+  EXPECT_EQ(order, "a1b2c");
+}
+
+TEST(WiredLink, HookRunsAtEachSerializationEnd) {
+  sim::EventLoop loop;
+  std::vector<std::uint64_t> order;
+  WiredLink::Config config;
+  config.rate_bps = 8'000'000;
+  config.propagation = sim::Millis(2);
+  auto on_arrival = [&](Packet p) { order.push_back(p.id); };
+  WiredLink link(loop, config, on_arrival);
+  std::vector<sim::Time> hook_times;
+  link.SetFaultHook([&](const Packet& p) {
+    hook_times.push_back(loop.now());
+    WiredLink::LinkFault fault;
+    if (p.id == 2) fault.extra_delay = sim::Millis(5);  // overtaken.
+    if (p.id == 4) fault.drop = true;
+    return fault;
+  });
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    Packet p;
+    p.id = i;
+    p.size_bytes = 1000;  // 1 ms each.
+    link.Send(p);
+  }
+  EXPECT_EQ(link.queue_length(), 5u);
+  loop.Run();
+  EXPECT_EQ(hook_times,
+            (std::vector<sim::Time>{sim::Millis(1), sim::Millis(2),
+                                    sim::Millis(3), sim::Millis(4),
+                                    sim::Millis(5)}));
+  // The jittered packet is overtaken; the others keep FIFO order, and the
+  // dropped one counts as faulted, not delivered.
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 3, 5, 2}));
+  EXPECT_EQ(link.faulted(), 1u);
+  EXPECT_EQ(link.delivered(), 4u);
+  EXPECT_EQ(link.queue_length(), 0u);
+}
+
+TEST(WiredLink, DestroyedLinkNeverFiresACallback) {
+  sim::EventLoop loop;
+  int arrivals = 0;
+  auto on_arrival = [&](Packet) { ++arrivals; };
+  {
+    WiredLink plain(loop, WiredLink::Config{}, on_arrival);
+    WiredLink hooked(loop, WiredLink::Config{}, on_arrival);
+    hooked.SetFaultHook([](const Packet& p) {
+      WiredLink::LinkFault fault;
+      fault.extra_delay = p.id % 2 == 0 ? sim::Millis(3) : 0;
+      return fault;
+    });
+    Packet p;
+    p.size_bytes = 1000;
+    for (std::uint64_t i = 1; i <= 4; ++i) {
+      p.id = i;
+      plain.Send(p);
+      hooked.Send(p);
+    }
+    // Mid-flight: serializer, line and jitter events all pending.
+    loop.RunUntil(sim::Micros(250));
+    ASSERT_GT(loop.pending(), 0u);
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.Run();
+  EXPECT_EQ(arrivals, 0);
 }
 
 }  // namespace

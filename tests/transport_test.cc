@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.h"
@@ -304,6 +306,100 @@ TEST(TcpReno, StopHaltsTransmission) {
   h.loop.RunUntil(sim::Seconds(2));
   // A few in-flight segments may still land, but no meaningful progress.
   EXPECT_LT(h.sender->segments_acked() - acked, 300);
+}
+
+// --------------------------------------------------- RTO deadline ----
+
+net::Packet AckFor(std::int64_t cumulative) {
+  net::Packet ack;
+  ack.protocol = net::Protocol::kTcp;
+  ack.flow = 1;
+  ack.tcp.is_ack = true;
+  ack.tcp.ack = cumulative;
+  return ack;
+}
+
+TEST(TcpReno, RtoFiresAtTheLastArmPlusBackedOffTimeout) {
+  sim::EventLoop loop;
+  net::PacketIdAllocator ids;
+  TcpSender::Config config;
+  config.initial_cwnd = 2;
+  config.max_rto = sim::Millis(500);
+  std::unique_ptr<TcpSender> sender;
+  std::vector<sim::Time> timeouts;
+  sender = std::make_unique<TcpSender>(
+      loop, 1, 10, 20, ids,
+      [&](net::Packet) {
+        if (sender->timeouts() > static_cast<std::int64_t>(timeouts.size())) {
+          timeouts.push_back(loop.now());
+        }
+      },
+      config);
+  sender->Start();  // armed with the initial 1 s RTO.
+  // First RTT sample (10 ms): rto_ shrinks to min_rto, so the deadline
+  // (210 ms) lies before the pending 1 s event.
+  loop.ScheduleAt(sim::Millis(10), [&] { sender->OnAck(AckFor(1)); });
+  // A later ACK only pushes the deadline, to 220 ms.
+  loop.ScheduleAt(sim::Millis(20), [&] { sender->OnAck(AckFor(2)); });
+  loop.RunUntil(sim::Seconds(2));
+  // Then each timeout re-arms from its own firing with the backed-off
+  // timeout, capped at max_rto: +400 ms, +500 ms, +500 ms.
+  EXPECT_EQ(timeouts,
+            (std::vector<sim::Time>{sim::Millis(220), sim::Millis(620),
+                                    sim::Millis(1120), sim::Millis(1620)}));
+  sender->Stop();
+}
+
+TEST(TcpReno, StopWithAPendingRtoLeavesNothingRunnable) {
+  sim::EventLoop loop;
+  net::PacketIdAllocator ids;
+  TcpSender sender(loop, 1, 10, 20, ids, [](net::Packet) {});
+  sender.Start();
+  // The ACK moves the deadline; the pending event stays where it was.
+  loop.RunUntil(sim::Millis(10));
+  sender.OnAck(AckFor(1));
+  ASSERT_TRUE(sender.rto_armed());
+  sender.Stop();
+  EXPECT_FALSE(sender.rto_armed());
+  EXPECT_EQ(loop.pending(), 0u);
+  const std::uint64_t executed = loop.executed();
+  loop.Run();
+  EXPECT_EQ(loop.executed(), executed);
+  EXPECT_EQ(sender.timeouts(), 0);
+}
+
+/// Counts "tcp.rto" dispatches.
+class RtoCounter : public sim::EventLoopProbe {
+ public:
+  void OnExecuted(const char* type, sim::Time, double) override {
+    if (std::string_view(type) == "tcp.rto") ++rto_events;
+  }
+  std::uint64_t rto_events = 0;
+};
+
+TEST(TcpReno, SteadyAckStreamLeavesNoTombstones) {
+  // Constant 20 ms RTT (no queueing at 1 Gbps), so rto_ sits at min_rto
+  // after the first sample and every new-data ACK pushes the deadline.
+  TcpHarness h(1'000'000'000, 10'000);
+  RtoCounter counter;
+  h.loop.SetProbe(&counter);
+  h.sender->Start();
+  // Past the initial 1 s RTO event, which the first sample cancelled.
+  h.loop.RunUntil(sim::Millis(1100));
+  std::size_t worst = 0;
+  sim::PeriodicTimer check(h.loop, sim::Millis(1), [&] {
+    worst = std::max(worst, h.loop.tombstones());
+  });
+  check.Start();
+  h.loop.RunUntil(sim::Seconds(4));
+  EXPECT_EQ(worst, 0u);
+  EXPECT_EQ(h.sender->timeouts(), 0);
+  // One early firing per min_rto, not one event per ACK.
+  EXPECT_GT(h.sender->segments_acked(), 100'000);
+  EXPECT_LE(counter.rto_events, 4'000u / 200u + 2u);
+  check.Stop();
+  h.sender->Stop();
+  h.loop.SetProbe(nullptr);
 }
 
 TEST(TcpRenoReceiver, ReordersOutOfOrderSegments) {
