@@ -390,10 +390,6 @@ int main(int argc, char** argv) {
   config.call_duration =
       sim::Seconds(bench::ParseIntFlag(argc, argv, "--call-seconds", 60));
   config.jobs = bench::ParseJobs(argc, argv);
-  // --shard-arms: BSS-group intra-scenario sharding — each environment's
-  // baseline/Kwikr arms become separate fleet tasks (bit-identical results;
-  // finer task granularity for the worker pool).
-  config.shard_arms = bench::HasFlag(argc, argv, "--shard-arms");
 
   // --metrics-out: merged per-environment registry; every value in it is a
   // simulated quantity, so the export is bit-identical for any --jobs.

@@ -7,19 +7,13 @@
 // allocation during the measured phase fails the bench.
 //
 // Usage:
-//   micro_channel [--quick] [--json FILE] [--baseline FILE] [--breakdown]
+//   micro_channel [--quick] [--json FILE] [--baseline FILE]
 //
-// --json writes the BENCH_channel.json trajectory record: the headline
-// mode:"burst" line first (what --baseline gates on — JsonNumber reads the
-// first match), then, with --breakdown, a second mode:"breakdown" line with
-// the per-stage cycle attribution (arbitration / airtime / delivery shares
-// of the instrumented frame cycle) and the airtime-cache hit rate.
-// --baseline reads a previous record and exits non-zero when frames/sec
-// regressed more than 20% against it — the perf gate wired into
+// --json writes the BENCH_channel.json trajectory record (the mode:"burst"
+// line). --baseline reads a previous record and exits non-zero when
+// frames/sec regressed more than 20% against it — the perf gate wired into
 // scripts/check.sh. --quick shrinks the simulated horizon for CI smoke
-// runs. The breakdown rep runs with the StageProfile attached (cycle reads
-// on the frame path), so it is measured separately and never contaminates
-// the headline numbers.
+// runs.
 
 #include <atomic>
 #include <chrono>
@@ -128,8 +122,6 @@ class Harness {
 
   void RunFor(sim::Duration d) { loop_.RunFor(d); }
 
-  [[nodiscard]] wifi::Channel& channel() { return channel_; }
-
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t probe_delivered() const {
     return probe_delivered_;
@@ -237,59 +229,13 @@ std::string ToJson(const Results& r, bool quick) {
       "\"wall_ms\":%.1f,\"peak_rss_kb\":%lu}\n",
       // The committed (non-quick) trajectory line is tagged with the
       // frame-path generation so regressions bisect cleanly: "burst" = TXOP
-      // burst batching + shared airtime cache + SIMD sweeps (vs "batched" =
-      // the SoA EdcaCore sweeps, vs the retired per-contender "full").
+      // burst batching + shared airtime cache (vs "batched" = the SoA
+      // EdcaCore sweeps, vs the retired per-contender "full").
       quick ? "quick" : "burst", static_cast<unsigned long long>(r.frames),
       r.frames_per_sec, r.events_per_sec, r.allocs_per_frame, r.probe_share,
       r.busy_fraction, static_cast<unsigned long long>(r.collisions),
       static_cast<unsigned long long>(r.retry_drops), r.wall_ms,
       bench::PeakRssKb());
-  return buffer;
-}
-
-/// One extra instrumented rep: attach a wifi::Channel::StageProfile, run the
-/// same closed loop, and attribute the instrumented cycles to arbitration
-/// (EdcaCore sweeps + winner resolution), airtime (shape-cache lookups) and
-/// delivery (owner hooks). Shares are of the instrumented total — event-loop
-/// dispatch and MAC bookkeeping live in the remainder — and the cycle unit
-/// (TSC / generic timer) cancels out of the ratios.
-std::string BreakdownJson(bool quick, sim::Duration warmup,
-                          sim::Duration horizon) {
-  Harness harness;
-  wifi::Channel::StageProfile profile;
-  harness.RunFor(warmup);
-  harness.channel().SetStageProfile(&profile);
-  const std::uint64_t frames_before = harness.delivered();
-  harness.RunFor(horizon);
-  harness.channel().SetStageProfile(nullptr);
-  const std::uint64_t frames = harness.delivered() - frames_before;
-  const double total = static_cast<double>(
-      profile.arbitration_cycles + profile.airtime_cycles +
-      profile.delivery_cycles);
-  const auto share = [total](std::uint64_t cycles) {
-    return total > 0 ? static_cast<double>(cycles) / total : 0.0;
-  };
-  const auto& cache = harness.channel().airtime_cache();
-  const double lookups =
-      static_cast<double>(cache.hits() + cache.misses());
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"bench\":\"micro_channel\",\"mode\":\"breakdown\",\"quick\":%d,"
-      "\"frames\":%llu,"
-      "\"share_arbitration\":%.4f,\"share_airtime\":%.4f,"
-      "\"share_delivery\":%.4f,"
-      "\"arbitration_calls\":%llu,\"airtime_calls\":%llu,"
-      "\"delivery_calls\":%llu,"
-      "\"airtime_cache_hit_rate\":%.6f,\"airtime_cache_evictions\":%llu}\n",
-      quick ? 1 : 0, static_cast<unsigned long long>(frames),
-      share(profile.arbitration_cycles), share(profile.airtime_cycles),
-      share(profile.delivery_cycles),
-      static_cast<unsigned long long>(profile.arbitration_calls),
-      static_cast<unsigned long long>(profile.airtime_calls),
-      static_cast<unsigned long long>(profile.delivery_calls),
-      lookups > 0 ? static_cast<double>(cache.hits()) / lookups : 0.0,
-      static_cast<unsigned long long>(cache.evictions()));
   return buffer;
 }
 
@@ -299,7 +245,6 @@ std::string BreakdownJson(bool quick, sim::Duration warmup,
 int main(int argc, char** argv) {
   using namespace kwikr;
   const bool quick = bench::HasFlag(argc, argv, "--quick");
-  const bool breakdown = bench::HasFlag(argc, argv, "--breakdown");
   const char* json_path = bench::ParseStringFlag(argc, argv, "--json");
   const char* baseline_path = bench::ParseStringFlag(argc, argv, "--baseline");
 
@@ -362,16 +307,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(best.retry_drops));
   std::printf("allocs/frame cycle: %.4f\n", best.allocs_per_frame);
 
-  std::string json = ToJson(best, quick);
+  const std::string json = ToJson(best, quick);
   std::fputs(json.c_str(), stdout);
-  if (breakdown) {
-    // Separate instrumented rep, emitted AFTER the headline line: the
-    // --baseline gate and trajectory tooling read the first match of each
-    // key, so the breakdown record can never shadow the gated numbers.
-    const std::string extra = BreakdownJson(quick, warmup, horizon);
-    std::fputs(extra.c_str(), stdout);
-    json += extra;
-  }
   if (json_path != nullptr) {
     if (std::FILE* out = std::fopen(json_path, "w")) {
       std::fputs(json.c_str(), out);

@@ -1,7 +1,5 @@
 // Event-loop microbenchmark: schedule/cancel/dispatch throughput of the
-// allocation-free scheduler (sim::EventLoop) versus a replica of the
-// pre-rewrite scheduler (std::function events in a std::priority_queue with
-// live/cancelled unordered_sets). Both run identical workloads whose event
+// allocation-free scheduler (sim::EventLoop) on workloads whose event
 // closures capture a Packet-sized payload by value, the shape that dominates
 // the simulation's hot path.
 //
@@ -20,12 +18,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <new>
-#include <queue>
 #include <string>
-#include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -60,82 +54,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace kwikr {
 namespace {
 
-// ------------------------------------------------------ legacy scheduler ----
-// Replica of the pre-rewrite sim::EventLoop: kept here (not in src/) so the
-// benchmark always measures the new scheduler against the exact baseline it
-// replaced, independent of future src/ changes.
-
-class LegacyEventLoop {
- public:
-  using EventId = std::uint64_t;
-
-  [[nodiscard]] sim::Time now() const { return now_; }
-
-  EventId ScheduleAt(sim::Time at, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    queue_.push(Event{std::max(at, now_), id, std::move(fn)});
-    live_.insert(id);
-    return id;
-  }
-
-  EventId ScheduleIn(sim::Duration delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + std::max<sim::Duration>(delay, 0),
-                      std::move(fn));
-  }
-
-  bool Cancel(EventId id) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) return false;
-    live_.erase(it);
-    cancelled_.insert(id);
-    return true;
-  }
-
-  void Run() {
-    while (!queue_.empty()) {
-      Event event = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      if (auto it = cancelled_.find(event.id); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      live_.erase(event.id);
-      now_ = event.at;
-      ++executed_;
-      event.fn();
-    }
-  }
-
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Event {
-    sim::Time at;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-
-  sim::Time now_ = 0;
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> live_;
-};
-
-/// The production scheduler forced into heap-only mode: isolates the
-/// hierarchical timer wheel's contribution in the trajectory record (the
-/// legacy loop differs in far more than the timer structure).
-struct HeapOnlyEventLoop : sim::EventLoop {
-  HeapOnlyEventLoop() : sim::EventLoop(sim::SchedulerMode::kHeapOnly) {}
-};
-
 // -------------------------------------------------------------- workloads ----
 
 /// Packet-sized ballast: every hop in the real simulation moves a ~168-byte
@@ -154,13 +72,12 @@ std::uint64_t g_sink = 0;
 /// probe.timeout pattern — TCP cancels and re-arms its RTO on every ACK).
 /// Runs `chains` concurrent chains of `hops` frame hops each; returns
 /// dispatched events/sec (3 events run per hop; the guard never runs).
-template <typename Loop>
 double DispatchThroughput(int chains, int hops, std::uint64_t* allocations) {
-  Loop loop;
+  sim::EventLoop loop;
   struct Chain {
-    Loop* loop;
+    sim::EventLoop* loop;
     int remaining;
-    std::uint64_t guard = 0;  // both schedulers' EventId is uint64.
+    sim::EventId guard = 0;
     void Deliver(Payload payload) {
       g_sink += payload.bytes[0];
       payload.bytes[0] ^= static_cast<unsigned char>(remaining);
@@ -180,7 +97,7 @@ double DispatchThroughput(int chains, int hops, std::uint64_t* allocations) {
       loop->ScheduleIn(sim::Micros(86),
                        [this, payload = in_flight] { Deliver(payload); });
     }
-    Payload in_flight;
+    Payload in_flight{};
   };
   static_assert(sim::InlineTask::fits_inline<
                 decltype([c = static_cast<Chain*>(nullptr),
@@ -188,13 +105,12 @@ double DispatchThroughput(int chains, int hops, std::uint64_t* allocations) {
 
   std::vector<Chain> state(static_cast<std::size_t>(chains));
   // Warmup: one untimed round primes the scheduler's capacities so the
-  // measured phase is steady-state. The real loop needs a full L1 wheel
+  // measured phase is steady-state. The loop needs a full L1 wheel
   // revolution (134.2 ms of simulated time; a hop advances 100 us, so 1400
   // hops) before every L1 bucket has seen its high-water guard-tombstone
   // fill — shorter warmups leave bucket vectors growing (allocating) inside
-  // the measured phase. The legacy loop's hash tables prime within a few
-  // hops, and its untimed round runs ~9x slower, so it keeps the short one.
-  const int warmup_hops = std::is_same_v<Loop, sim::EventLoop> ? 1'400 : 8;
+  // the measured phase.
+  const int warmup_hops = 1'400;
   for (auto& chain : state) {
     chain = Chain{&loop, warmup_hops};
     loop.ScheduleIn(sim::Micros(1), [&chain] { chain.Deliver(Payload{}); });
@@ -222,10 +138,9 @@ double DispatchThroughput(int chains, int hops, std::uint64_t* allocations) {
 /// Timeout churn: schedule batches of guard timers and cancel most before
 /// they fire — the ping-pair / TCP-RTO pattern that hammers Cancel. Returns
 /// scheduler operations (schedule + cancel + dispatch) per second.
-template <typename Loop>
 double CancelChurnThroughput(int rounds, int batch) {
-  Loop loop;
-  std::vector<std::uint64_t> ids;  // both schedulers' EventId is uint64.
+  sim::EventLoop loop;
+  std::vector<sim::EventId> ids;
   ids.reserve(static_cast<std::size_t>(batch));
   std::uint64_t ops = 0;
   const auto begin = std::chrono::steady_clock::now();
@@ -251,7 +166,7 @@ double CancelChurnThroughput(int rounds, int batch) {
   return static_cast<double>(ops) / seconds;
 }
 
-/// Dispatch throughput of the new loop with an attached probe (the
+/// Dispatch throughput with an attached probe (the
 /// observability tax measured by obs_test stays visible in the trajectory).
 class CountingProbe : public sim::EventLoopProbe {
  public:
@@ -305,46 +220,24 @@ double JsonNumber(const std::string& text, const char* key, double fallback) {
 struct Results {
   int dispatch_events = 0;
   double events_per_sec = 0;
-  double heap_only_events_per_sec = 0;
-  double legacy_events_per_sec = 0;
   double probe_events_per_sec = 0;
   double cancel_ops_per_sec = 0;
-  double legacy_cancel_ops_per_sec = 0;
   double dispatch_allocs_per_event = 0;
-  double legacy_dispatch_allocs_per_event = 0;
   double wall_ms = 0;
 };
 
 std::string ToJson(const Results& r, bool quick) {
-  char buffer[1024];
+  char buffer[512];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\"bench\":\"micro_eventloop\",\"mode\":\"%s\","
       "\"scheduler\":\"wheel\",\"dispatch_events\":%d,"
-      "\"events_per_sec\":%.0f,\"heap_only_events_per_sec\":%.0f,"
-      "\"wheel_vs_heap_speedup\":%.2f,\"legacy_events_per_sec\":%.0f,"
-      "\"dispatch_speedup\":%.2f,"
-      "\"probe_events_per_sec\":%.0f,"
-      "\"cancel_ops_per_sec\":%.0f,\"legacy_cancel_ops_per_sec\":%.0f,"
-      "\"cancel_speedup\":%.2f,"
-      "\"dispatch_allocs_per_event\":%.4f,"
-      "\"legacy_dispatch_allocs_per_event\":%.2f,"
+      "\"events_per_sec\":%.0f,\"probe_events_per_sec\":%.0f,"
+      "\"cancel_ops_per_sec\":%.0f,\"dispatch_allocs_per_event\":%.4f,"
       "\"wall_ms\":%.1f,\"peak_rss_kb\":%lu}\n",
       quick ? "quick" : "full", r.dispatch_events, r.events_per_sec,
-      r.heap_only_events_per_sec,
-      r.heap_only_events_per_sec > 0
-          ? r.events_per_sec / r.heap_only_events_per_sec
-          : 0.0,
-      r.legacy_events_per_sec,
-      r.legacy_events_per_sec > 0 ? r.events_per_sec / r.legacy_events_per_sec
-                                  : 0.0,
       r.probe_events_per_sec, r.cancel_ops_per_sec,
-      r.legacy_cancel_ops_per_sec,
-      r.legacy_cancel_ops_per_sec > 0
-          ? r.cancel_ops_per_sec / r.legacy_cancel_ops_per_sec
-          : 0.0,
-      r.dispatch_allocs_per_event, r.legacy_dispatch_allocs_per_event,
-      r.wall_ms, bench::PeakRssKb());
+      r.dispatch_allocs_per_event, r.wall_ms, bench::PeakRssKb());
   return buffer;
 }
 
@@ -358,14 +251,14 @@ int main(int argc, char** argv) {
   const char* baseline_path = bench::ParseStringFlag(argc, argv, "--baseline");
 
   bench::Header("Micro — event loop",
-                "Schedule/cancel/dispatch throughput: allocation-free "
-                "scheduler vs the std::function + hash-set baseline.");
+                "Schedule/cancel/dispatch throughput of the allocation-free "
+                "scheduler.");
 
   // 1024 concurrent chains keeps ~1k events pending, the population-scale
   // regime the fleet runner operates in (fig10 wild sweeps run hundreds of
   // calls, each with several in-flight timers and frames). Heap depth and
-  // cache footprint — not just per-op constants — are part of what the
-  // rewrite improves, so the bench measures that regime.
+  // cache footprint — not just per-op constants — shape the scheduler's
+  // cost, so the bench measures that regime.
   const int chains = 1'024;
   const int hops = quick ? 125 : 1'000;
   const int churn_rounds = quick ? 400 : 4'000;
@@ -382,50 +275,25 @@ int main(int argc, char** argv) {
   // on loaded machines.
   for (int rep = 0; rep < reps; ++rep) {
     std::uint64_t allocs = 0;
-    const double eps =
-        DispatchThroughput<sim::EventLoop>(chains, hops, &allocs);
+    const double eps = DispatchThroughput(chains, hops, &allocs);
     if (eps > best.events_per_sec) {
       best.events_per_sec = eps;
       best.dispatch_allocs_per_event =
           static_cast<double>(allocs) / dispatched;
     }
-    std::uint64_t heap_only_allocs = 0;
-    best.heap_only_events_per_sec = std::max(
-        best.heap_only_events_per_sec,
-        DispatchThroughput<HeapOnlyEventLoop>(chains, hops,
-                                              &heap_only_allocs));
-    std::uint64_t legacy_allocs = 0;
-    best.legacy_events_per_sec = std::max(
-        best.legacy_events_per_sec,
-        DispatchThroughput<LegacyEventLoop>(chains, hops, &legacy_allocs));
-    best.legacy_dispatch_allocs_per_event =
-        static_cast<double>(legacy_allocs) / dispatched;
     best.probe_events_per_sec = std::max(
         best.probe_events_per_sec, ProbedDispatchThroughput(chains, hops));
     best.cancel_ops_per_sec =
         std::max(best.cancel_ops_per_sec,
-                 CancelChurnThroughput<sim::EventLoop>(churn_rounds,
-                                                      churn_batch));
-    best.legacy_cancel_ops_per_sec =
-        std::max(best.legacy_cancel_ops_per_sec,
-                 CancelChurnThroughput<LegacyEventLoop>(churn_rounds,
-                                                       churn_batch));
+                 CancelChurnThroughput(churn_rounds, churn_batch));
   }
   best.wall_ms = total.ElapsedMs();
 
-  std::printf("dispatch  %12.0f ev/s   (legacy %12.0f ev/s, %.2fx)\n",
-              best.events_per_sec, best.legacy_events_per_sec,
-              best.events_per_sec / best.legacy_events_per_sec);
-  std::printf("heap-only %12.0f ev/s   (wheel %.2fx)\n",
-              best.heap_only_events_per_sec,
-              best.events_per_sec / best.heap_only_events_per_sec);
+  std::printf("dispatch  %12.0f ev/s\n", best.events_per_sec);
   std::printf("probed    %12.0f ev/s\n", best.probe_events_per_sec);
-  std::printf("cancel    %12.0f op/s   (legacy %12.0f op/s, %.2fx)\n",
-              best.cancel_ops_per_sec, best.legacy_cancel_ops_per_sec,
-              best.cancel_ops_per_sec / best.legacy_cancel_ops_per_sec);
-  std::printf("allocs/dispatched event: %.4f (legacy %.2f)\n",
-              best.dispatch_allocs_per_event,
-              best.legacy_dispatch_allocs_per_event);
+  std::printf("cancel    %12.0f op/s\n", best.cancel_ops_per_sec);
+  std::printf("allocs/dispatched event: %.4f\n",
+              best.dispatch_allocs_per_event);
 
   const std::string json = ToJson(best, quick);
   std::fputs(json.c_str(), stdout);

@@ -3,9 +3,8 @@
 # and records the repo's two committed perf-trajectory baselines:
 #
 #   BENCH_eventloop.json — micro_eventloop: schedule/cancel/dispatch
-#       throughput of the allocation-free scheduler vs the pre-rewrite
-#       std::function + hash-set baseline (events/sec, allocs/event,
-#       wall time, peak RSS).
+#       throughput of the allocation-free scheduler (events/sec,
+#       allocs/event, wall time, peak RSS).
 #   BENCH_channel.json   — micro_channel: saturated multi-AC EDCA contention
 #       plus a ping-pair probe through wifi::Channel (frames/sec,
 #       allocs/frame — must be zero, busy fraction, peak RSS).
@@ -64,10 +63,7 @@ echo "== micro_eventloop =="
 ./build-bench/bench/micro_eventloop $quick --json BENCH_eventloop.json
 
 echo "== micro_channel =="
-# --breakdown appends a second record (mode:"breakdown") with per-stage
-# cycle shares after the headline mode:"burst" line; gates that read the
-# first frames_per_sec match are unaffected.
-./build-bench/bench/micro_channel $quick --breakdown --json BENCH_channel.json
+./build-bench/bench/micro_channel $quick --json BENCH_channel.json
 
 if [[ "$run_fig10" == 1 ]]; then
   echo "== fig10 fixed-seed sweep (150 calls, seed 1010) =="

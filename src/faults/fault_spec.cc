@@ -1,6 +1,9 @@
 #include "faults/fault_spec.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace kwikr::faults {
@@ -17,22 +20,41 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
+/// Largest millisecond value whose sim::Duration (nanoseconds) fits int64.
+constexpr double kMaxMillis =
+    static_cast<double>(std::numeric_limits<std::int64_t>::max() / 1'000'000);
+
+/// A finite decimal number (strtod's nan/inf spellings are rejected).
 bool ParseDouble(std::string_view value, double* out) {
   const std::string copy(value);
   char* end = nullptr;
   const double v = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0') return false;
+  if (end == copy.c_str() || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// A probability: finite and in [0, 1].
+bool ParseProbability(std::string_view value, double* out) {
+  double v = 0.0;
+  if (!ParseDouble(value, &v) || v < 0.0 || v > 1.0) return false;
+  *out = v;
+  return true;
+}
+
+/// A millisecond quantity: finite, >= 0, and representable as a
+/// sim::Duration once converted to nanoseconds.
+bool ParseMillis(std::string_view value, double* out) {
+  double v = 0.0;
+  if (!ParseDouble(value, &v) || v < 0.0 || v > kMaxMillis) return false;
   *out = v;
   return true;
 }
 
 bool ParseInt64(std::string_view value, std::int64_t* out) {
-  const std::string copy(value);
-  char* end = nullptr;
-  const long long v = std::strtoll(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), *out);
+  return ec == std::errc() && ptr == value.data() + value.size();
 }
 
 bool ParseBool(std::string_view value, bool* out) {
@@ -61,12 +83,14 @@ bool ParseKind(std::string_view name, FaultKind* out) {
 /// "<at_ms> <fault> on|off", e.g. "10000 ge off".
 bool ParseSchedule(std::string_view value, FaultScheduleEntry* out) {
   std::istringstream in{std::string(value)};
-  double at_ms = 0.0;
+  std::string at_text;
   std::string kind;
   std::string state;
-  if (!(in >> at_ms >> kind >> state) || at_ms < 0) return false;
+  if (!(in >> at_text >> kind >> state)) return false;
   std::string rest;
   if (in >> rest) return false;  // trailing tokens.
+  double at_ms = 0.0;
+  if (!ParseMillis(at_text, &at_ms)) return false;
   if (!ParseKind(kind, &out->kind)) return false;
   if (!ParseBool(state, &out->enable)) return false;
   out->at = sim::FromSeconds(at_ms / 1000.0);
@@ -123,27 +147,27 @@ bool ParseFaultSpec(std::string_view text, FaultSpec* spec,
     if (key == "ge.enable") {
       ok = ParseBool(value, &spec->ge.enable);
     } else if (key == "ge.mean_good_ms") {
-      ok = ParseDouble(value, &spec->ge.mean_good_ms);
+      ok = ParseMillis(value, &spec->ge.mean_good_ms);
     } else if (key == "ge.mean_bad_ms") {
-      ok = ParseDouble(value, &spec->ge.mean_bad_ms);
+      ok = ParseMillis(value, &spec->ge.mean_bad_ms);
     } else if (key == "ge.loss_good") {
-      ok = ParseDouble(value, &spec->ge.loss_good);
+      ok = ParseProbability(value, &spec->ge.loss_good);
     } else if (key == "ge.loss_bad") {
-      ok = ParseDouble(value, &spec->ge.loss_bad);
+      ok = ParseProbability(value, &spec->ge.loss_bad);
     } else if (key == "reorder.prob") {
-      ok = ParseDouble(value, &spec->mangle.reorder_prob);
+      ok = ParseProbability(value, &spec->mangle.reorder_prob);
     } else if (key == "reorder.delay_ms") {
-      ok = ParseDouble(value, &spec->mangle.reorder_delay_ms);
+      ok = ParseMillis(value, &spec->mangle.reorder_delay_ms);
     } else if (key == "duplicate.prob") {
-      ok = ParseDouble(value, &spec->mangle.duplicate_prob);
+      ok = ParseProbability(value, &spec->mangle.duplicate_prob);
     } else if (key == "drop.prob") {
-      ok = ParseDouble(value, &spec->mangle.drop_prob);
+      ok = ParseProbability(value, &spec->mangle.drop_prob);
     } else if (key == "wan.loss_prob") {
-      ok = ParseDouble(value, &spec->wan.loss_prob);
+      ok = ParseProbability(value, &spec->wan.loss_prob);
     } else if (key == "wan.jitter_prob") {
-      ok = ParseDouble(value, &spec->wan.jitter_prob);
+      ok = ParseProbability(value, &spec->wan.jitter_prob);
     } else if (key == "wan.jitter_ms") {
-      ok = ParseDouble(value, &spec->wan.jitter_ms);
+      ok = ParseMillis(value, &spec->wan.jitter_ms);
     } else if (key == "wmm.mode") {
       if (value == "on") {
         spec->wmm.mode = FaultSpec::WmmMode::kHonest;
@@ -155,17 +179,20 @@ bool ParseFaultSpec(std::string_view text, FaultSpec* spec,
         ok = false;
       }
     } else if (key == "wmm.honor_prob") {
-      ok = ParseDouble(value, &spec->wmm.honor_prob);
+      ok = ParseProbability(value, &spec->wmm.honor_prob);
     } else if (key == "churn.period_ms") {
-      ok = ParseDouble(value, &spec->churn.period_ms);
+      ok = ParseMillis(value, &spec->churn.period_ms);
     } else if (key == "churn.low_rate_bps") {
-      ok = ParseInt64(value, &spec->churn.low_rate_bps);
+      ok = ParseInt64(value, &spec->churn.low_rate_bps) &&
+           spec->churn.low_rate_bps > 0;
     } else if (key == "churn.low_error_prob") {
-      ok = ParseDouble(value, &spec->churn.low_error_prob);
+      ok = ParseProbability(value, &spec->churn.low_error_prob);
     } else if (key == "skew.ppm") {
-      ok = ParseDouble(value, &spec->skew.ppm);
+      // Beyond +-1e6 ppm the skewed clock would stop or run backwards.
+      ok = ParseDouble(value, &spec->skew.ppm) &&
+           std::fabs(spec->skew.ppm) < 1e6;
     } else if (key == "skew.offset_ms") {
-      ok = ParseDouble(value, &spec->skew.offset_ms);
+      ok = ParseMillis(value, &spec->skew.offset_ms);
     } else if (key == "schedule") {
       FaultScheduleEntry entry;
       ok = ParseSchedule(value, &entry);

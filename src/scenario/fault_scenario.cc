@@ -2,9 +2,11 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,17 +28,32 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
+/// A finite decimal number (strtod's nan/inf spellings are rejected).
 bool ParseDouble(std::string_view value, double* out) {
   const std::string buf(value);
   char* end = nullptr;
   *out = std::strtod(buf.c_str(), &end);
-  return end != nullptr && *end == '\0' && !buf.empty();
+  return end != nullptr && *end == '\0' && !buf.empty() &&
+         std::isfinite(*out);
 }
 
 bool ParseInt64(std::string_view value, std::int64_t* out) {
   const auto [ptr, ec] =
       std::from_chars(value.data(), value.data() + value.size(), *out);
   return ec == std::errc() && ptr == value.data() + value.size();
+}
+
+/// An integer in [min, max of T], range-checked before narrowing to T (an
+/// integer type narrower than int64).
+template <typename T>
+bool ParseIntIn(std::string_view value, std::int64_t min, T* out) {
+  std::int64_t v = 0;
+  if (!ParseInt64(value, &v) || v < min ||
+      v > static_cast<std::int64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
 }
 
 bool ParseBool(std::string_view value, bool* out) {
@@ -51,9 +68,13 @@ bool ParseBool(std::string_view value, bool* out) {
   return false;
 }
 
+/// Non-negative whole milliseconds whose nanosecond sim::Duration fits int64.
 bool ParseMillis(std::string_view value, sim::Duration* out) {
   std::int64_t ms = 0;
-  if (!ParseInt64(value, &ms) || ms < 0) return false;
+  if (!ParseInt64(value, &ms) || ms < 0 ||
+      ms > std::numeric_limits<std::int64_t>::max() / sim::kMillisecond) {
+    return false;
+  }
   *out = sim::Millis(ms);
   return true;
 }
@@ -179,11 +200,9 @@ bool ParseFaultScenario(std::string_view text, FaultScenario* out,
       ok = ParseInt64(value, &i64) && i64 > 0;
       e.be_queue_capacity = static_cast<std::size_t>(i64);
     } else if (key == "cross_stations") {
-      ok = ParseInt64(value, &i64) && i64 >= 0;
-      e.cross_stations = static_cast<int>(i64);
+      ok = ParseIntIn(value, 0, &e.cross_stations);
     } else if (key == "flows_per_station") {
-      ok = ParseInt64(value, &i64) && i64 >= 0;
-      e.flows_per_station = static_cast<int>(i64);
+      ok = ParseIntIn(value, 0, &e.flows_per_station);
     } else if (key == "congestion_start_ms") {
       ok = ParseMillis(value, &e.congestion_start);
     } else if (key == "congestion_end_ms") {
@@ -209,8 +228,7 @@ bool ParseFaultScenario(std::string_view text, FaultScenario* out,
       ok = ParseMillis(value, &e.qdisc.interval);
       out->bottleneck_explicit = true;
     } else if (key == "fq_flows") {
-      ok = ParseInt64(value, &i64) && i64 > 0;
-      e.qdisc.flows = static_cast<std::uint32_t>(i64);
+      ok = ParseIntIn(value, 1, &e.qdisc.flows);
       out->bottleneck_explicit = true;
     } else if (key == "timeline") {
       // Timeline keys deliberately leave bottleneck_explicit alone: the

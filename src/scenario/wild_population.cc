@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fleet/scenario_shards.h"
 #include "sim/rng.h"
 #include "stats/percentile.h"
 #include "stats/welch.h"
@@ -60,20 +59,6 @@ double SamplePercentileMs(const std::vector<core::PingPairSample>& samples,
   return stats::Percentile(ms, p);
 }
 
-/// Replays environment `index`'s draw: every arm task forks the population
-/// RNG at the same index and consumes the same draws, so the baseline and
-/// Kwikr shards of one environment reconstruct an identical experiment
-/// without sharing any state.
-ExperimentConfig DrawPairedExperiment(const WildConfig& config,
-                                      std::size_t index, sim::Rng call_rng) {
-  const std::uint64_t call_seed = call_rng.Next();
-  ExperimentConfig experiment = DrawEnvironment(call_rng, config, call_seed);
-  if (!config.fault_matrix.empty()) {
-    experiment.faults = config.fault_matrix[index % config.fault_matrix.size()];
-  }
-  return experiment;
-}
-
 /// One arm of the paired A/B — an independent co-channel BSS-group replica.
 /// The environment (seed, topology, congestion schedule) is common random
 /// numbers; only the adaptation arm differs.
@@ -93,13 +78,11 @@ ExperimentMetrics RunArm(ExperimentConfig experiment, const WildConfig& config,
   return RunCallExperiment(experiment);
 }
 
-/// Join point of the two arm shards: pure pairwise combination of the arm
-/// metrics, so it yields the same bytes whether the arms ran back-to-back
-/// in one task or as separate shards on different workers. Event streams
-/// merge through the deterministic (t, shard) rule.
+/// Pairwise combination of the two arms' metrics. Only the Kwikr arm
+/// samples a timeline, so its JSONL is the environment's timeline as is.
 WildCallResult MergeArms(const ExperimentConfig& experiment,
                          const ExperimentMetrics& baseline,
-                         const ExperimentMetrics& kwikr) {
+                         ExperimentMetrics&& kwikr) {
   WildCallResult r;
   const CallMetrics& b = baseline.calls[0];
   const CallMetrics& k = kwikr.calls[0];
@@ -119,8 +102,7 @@ WildCallResult MergeArms(const ExperimentConfig& experiment,
   r.wmm_enabled = experiment.wmm_enabled;
   r.cross_stations = experiment.cross_stations;
   r.events_executed = baseline.events_executed + kwikr.events_executed;
-  r.timeline_jsonl =
-      fleet::MergeShardStreams({baseline.timeline_jsonl, kwikr.timeline_jsonl});
+  r.timeline_jsonl = std::move(kwikr.timeline_jsonl);
   return r;
 }
 
@@ -131,18 +113,16 @@ WildCallResult MergeArms(const ExperimentConfig& experiment,
 WildCallResult RunOneEnvironment(const WildConfig& config, std::size_t index,
                                  sim::Rng call_rng,
                                  obs::MetricsRegistry* metrics) {
-  const ExperimentConfig experiment =
-      DrawPairedExperiment(config, index, std::move(call_rng));
+  const std::uint64_t call_seed = call_rng.Next();
+  ExperimentConfig experiment = DrawEnvironment(call_rng, config, call_seed);
+  if (!config.fault_matrix.empty()) {
+    experiment.faults = config.fault_matrix[index % config.fault_matrix.size()];
+  }
   const ExperimentMetrics baseline =
       RunArm(experiment, config, index, /*kwikr=*/false, metrics);
-  const ExperimentMetrics kwikr =
-      RunArm(experiment, config, index, /*kwikr=*/true, metrics);
-  return MergeArms(experiment, baseline, kwikr);
+  return MergeArms(experiment, baseline,
+                   RunArm(experiment, config, index, /*kwikr=*/true, metrics));
 }
-
-}  // namespace
-
-namespace {
 
 /// Runs `fn(local_registry)` with the merge-once-per-task observability
 /// pattern: a worker-local registry merged into the stage when the task
@@ -162,78 +142,49 @@ auto RunObservedTask(bool observed, fleet::FleetMetrics* stage, Fn&& fn) {
   return result;
 }
 
-}  // namespace
-
-WildResults RunWildPopulation(const WildConfig& config) {
+/// The per-index loop behind RunWildPopulation and RunWildRange: runs the
+/// environments at global indices [begin, begin + count) on the fleet
+/// runner. Every per-environment input (seed fork, fault-matrix row) keys
+/// on the global index, so any slicing reproduces the same per-call
+/// results. Each task's worker-local registry merges into a stage (the
+/// caller's FleetMetrics when given), and the stage into `config.metrics`
+/// once the run is done — unless `all_or_nothing` and an environment
+/// failed, which throws first so a failed slice contributes no metrics.
+fleet::FleetReport<WildCallResult> RunEnvironments(const WildConfig& config,
+                                                   std::uint64_t begin,
+                                                   std::size_t count,
+                                                   bool all_or_nothing) {
   const sim::Rng base_rng(config.base_seed);
   const bool observed =
       config.metrics != nullptr || config.fleet_metrics != nullptr;
-  // Stage registry for the merge-once-per-task pattern; the caller's
-  // FleetMetrics doubles as the stage when provided.
   fleet::FleetMetrics local_stage;
   fleet::FleetMetrics* stage =
       config.fleet_metrics != nullptr ? config.fleet_metrics : &local_stage;
-  const auto calls = static_cast<std::size_t>(std::max(config.calls, 0));
-
-  WildResults results;
-  if (!config.shard_arms) {
-    auto report =
-        fleet::RunFleet(calls, config.jobs, [&](std::size_t index) {
-          return RunObservedTask(observed, stage,
-                                 [&](obs::MetricsRegistry* local) {
-                                   return RunOneEnvironment(
-                                       config, index, base_rng.Fork(index),
-                                       local);
-                                 });
-        });
-    results.calls = std::move(report.results);
-    results.failures = std::move(report.failures);
-  } else {
-    // BSS-group sharded path: shard 2i is environment i's baseline arm,
-    // shard 2i+1 its Kwikr arm. Each shard replays the identical
-    // environment draw from base_seed + index (common random numbers), so
-    // the pair-merge below reproduces the unsharded bytes exactly.
-    struct ArmOutcome {
-      ExperimentConfig experiment;
-      ExperimentMetrics metrics;
-    };
-    auto report = fleet::RunScenarioShards(
-        2 * calls, config.jobs, [&](std::size_t shard) {
-          const std::size_t index = shard >> 1;
-          const bool kwikr = (shard & 1) != 0;
-          return RunObservedTask(
-              observed, stage, [&](obs::MetricsRegistry* local) {
-                ArmOutcome out;
-                out.experiment =
-                    DrawPairedExperiment(config, index, base_rng.Fork(index));
-                out.metrics =
-                    RunArm(out.experiment, config, index, kwikr, local);
-                return out;
-              });
-        });
-    results.calls.resize(calls);
-    for (std::size_t i = 0; i < calls; ++i) {
-      const ArmOutcome& baseline = report.results[2 * i];
-      const ArmOutcome& kwikr = report.results[2 * i + 1];
-      // A failed arm's slot is default-constructed (no calls entry); the
-      // environment's result then stays default too, matching the
-      // unsharded failure contract.
-      if (baseline.metrics.calls.empty() || kwikr.metrics.calls.empty()) {
-        continue;
-      }
-      results.calls[i] =
-          MergeArms(baseline.experiment, baseline.metrics, kwikr.metrics);
-    }
-    // Map arm-shard failures back onto environment indices (sorted order is
-    // preserved: shard index order is environment-major).
-    for (const fleet::TaskFailure& f : report.failures) {
-      results.failures.push_back(fleet::TaskFailure{
-          f.index >> 1,
-          ((f.index & 1) != 0 ? "kwikr arm: " : "baseline arm: ") + f.error});
-    }
+  auto report = fleet::RunFleet(count, config.jobs, [&](std::size_t local) {
+    const auto index = static_cast<std::size_t>(begin + local);
+    return RunObservedTask(observed, stage,
+                           [&](obs::MetricsRegistry* registry) {
+                             return RunOneEnvironment(
+                                 config, index, base_rng.Fork(index), registry);
+                           });
+  });
+  if (all_or_nothing && !report.ok()) {
+    const fleet::TaskFailure& first = report.failures.front();
+    throw std::runtime_error("wild call " +
+                             std::to_string(begin + first.index) + ": " +
+                             first.error);
   }
   if (config.metrics != nullptr) config.metrics->Merge(stage->registry());
-  return results;
+  return report;
+}
+
+}  // namespace
+
+WildResults RunWildPopulation(const WildConfig& config) {
+  auto report = RunEnvironments(
+      config, 0, static_cast<std::size_t>(std::max(config.calls, 0)),
+      /*all_or_nothing=*/false);
+  return WildResults{std::move(report.results), std::move(report.failures)};
 }
 
 void RunWildRange(
@@ -241,34 +192,9 @@ void RunWildRange(
     const std::function<void(std::uint64_t index, WildCallResult&& result)>&
         sink) {
   if (end <= begin) return;
-  const sim::Rng base_rng(config.base_seed);
-  const bool observed =
-      config.metrics != nullptr || config.fleet_metrics != nullptr;
-  fleet::FleetMetrics local_stage;
-  fleet::FleetMetrics* stage =
-      config.fleet_metrics != nullptr ? config.fleet_metrics : &local_stage;
-
-  // The slice runs through the same fleet runner as the full population —
-  // only the index base differs, and every per-environment input (seed
-  // fork, fault-matrix row) keys on the *global* index.
-  auto report = fleet::RunFleet(
-      static_cast<std::size_t>(end - begin), config.jobs,
-      [&](std::size_t local) {
-        const auto index = static_cast<std::size_t>(begin + local);
-        return RunObservedTask(observed, stage,
-                               [&](obs::MetricsRegistry* local_registry) {
-                                 return RunOneEnvironment(
-                                     config, index, base_rng.Fork(index),
-                                     local_registry);
-                               });
-      });
-  if (!report.ok()) {
-    const fleet::TaskFailure& first = report.failures.front();
-    throw std::runtime_error(
-        "wild call " + std::to_string(begin + first.index) + ": " +
-        first.error);
-  }
-  if (config.metrics != nullptr) config.metrics->Merge(stage->registry());
+  auto report = RunEnvironments(config, begin,
+                                static_cast<std::size_t>(end - begin),
+                                /*all_or_nothing=*/true);
   for (std::size_t local = 0; local < report.results.size(); ++local) {
     sink(begin + local, std::move(report.results[local]));
   }
@@ -355,7 +281,8 @@ bool DecodeWildCallLine(std::string_view line, std::uint64_t* index,
   constexpr std::string_view kPrefix = "{\"call\":";
   if (line.substr(0, kPrefix.size()) != kPrefix) return false;
   std::size_t pos = kPrefix.size();
-  if (!ParseU64(line, &pos, index)) return false;
+  std::uint64_t call = 0;
+  if (!ParseU64(line, &pos, &call)) return false;
 
   WildCallResult r;
   std::uint64_t probe_samples = 0;
@@ -383,6 +310,14 @@ bool DecodeWildCallLine(std::string_view line, std::uint64_t* index,
   r.probe_samples = static_cast<int>(probe_samples);
   r.wmm_enabled = wmm == 1;
   r.cross_stations = static_cast<int>(cross_stations);
+  // The field parsers are lenient (strtod takes hex, leading blanks and
+  // redundant digits; integers may wrap or narrow): the line is canonical
+  // only if encoding what was parsed reproduces it byte for byte.
+  const std::string canonical = EncodeWildCallLine(call, r);
+  if (std::string_view(canonical).substr(0, canonical.size() - 1) != line) {
+    return false;
+  }
+  *index = call;
   *result = std::move(r);
   return true;
 }

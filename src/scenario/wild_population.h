@@ -29,22 +29,6 @@ struct WildConfig {
   /// for any value of `jobs`.
   int jobs = 1;
 
-  /// Intra-scenario BSS-group sharding: run each environment's two arms
-  /// (baseline / Kwikr) — independent co-channel BSS-group replicas under
-  /// common random numbers that never exchange a frame — as separate fleet
-  /// tasks instead of back-to-back in one task. Doubles the task
-  /// granularity, so a small population (down to a single paired call)
-  /// still fills every worker and the per-environment straggler tail
-  /// halves. Results are bit-identical to the unsharded path for any
-  /// `jobs`: both arm tasks replay the same environment draw from
-  /// `base_seed` + index, each arm's simulation is deterministic in its
-  /// config alone, and the arms pair-merge by index at the join point
-  /// (fleet::MergeShardStreams orders any event streams by (t, shard)).
-  /// The only observable difference is FleetMetrics' "task_wall_ms"
-  /// summary counting 2N arm tasks instead of N environments — wall-clock
-  /// timing is nondeterministic and outside the determinism contract.
-  bool shard_arms = false;
-
   /// Fault matrix: environment `i` runs under `fault_matrix[i % size]`
   /// (empty = no faults anywhere). This is how a population sweep shards a
   /// set of impairment profiles across its environments; because the
@@ -139,8 +123,9 @@ void RunWildRange(
 /// their own spill stream.
 std::string EncodeWildCallLine(std::uint64_t index,
                                const WildCallResult& result);
-/// Strict parse of one line (with or without the trailing '\n'); false on
-/// any deviation from the canonical form.
+/// Strict parse of one line (with or without the trailing '\n'): true only
+/// when EncodeWildCallLine of the parsed values reproduces the line byte for
+/// byte; false (outputs untouched) on any deviation from the canonical form.
 bool DecodeWildCallLine(std::string_view line, std::uint64_t* index,
                         WildCallResult* result);
 

@@ -27,15 +27,6 @@ struct Ticket {
   std::uint32_t seq = 0;
 };
 
-/// Pending-timer store selection (see EventLoop). kWheel is the production
-/// configuration: a two-level hierarchical timer wheel absorbs the dense
-/// short-horizon timers (frame airtimes, SIFS gaps, RTO guards) in O(1) and
-/// the 4-ary heap only carries the far-future overflow. kHeapOnly routes
-/// every timer through the heap — the pre-wheel behavior, kept selectable so
-/// the randomized differential test in tests/sim_test.cc can prove the two
-/// configurations dispatch identical (time, seq) sequences.
-enum class SchedulerMode { kWheel, kHeapOnly };
-
 /// Observer of event execution (the observability hook). Attach with
 /// EventLoop::SetProbe; with no probe attached the loop's dispatch path
 /// performs a single null check and no clock reads — zero-cost.
@@ -70,7 +61,7 @@ class EventLoopProbe {
 ///    kWheelMinPopulation pending timers) skip the wheel entirely and use
 ///    the heap, whose shallow sifts win there. The dispatch order is the
 ///    exact (time, seq) total order either way — see DESIGN.md §14 and the
-///    SchedulerMode differential test.
+///    wheel differential test in tests/sim_test.cc.
 ///  - Cancellation is O(1) without hashing: EventId encodes (slot,
 ///    generation), and Cancel flips the slot's tombstone bit and releases
 ///    the captured state immediately. Tombstoned entries are reaped lazily
@@ -84,9 +75,6 @@ class EventLoop {
 
  public:
   EventLoop() = default;
-  /// Selects the pending-timer store; kHeapOnly exists for the wheel-vs-heap
-  /// differential tests. The mode is fixed for the loop's lifetime.
-  explicit EventLoop(SchedulerMode mode) : mode_(mode) {}
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -119,7 +107,8 @@ class EventLoop {
       // with maximal sequence sifts all the way up on push, and pops pay a
       // full sift-down — when a plain FIFO already yields the exact
       // dispatch order (see the now_queue_ comment for the proof sketch).
-      // Frame deliveries, the bulk of the wifi fast path, all land here.
+      // Zero-delay hand-offs land here (wifi::Channel delivers unfaulted
+      // frames inline, without an event).
       now_queue_.push_back(std::uint32_t{slot_index});
     } else {
       InsertTimer(at, slot_index);
@@ -478,11 +467,10 @@ class EventLoop {
   /// run (or the heap) and pops in key order before the same-tick lane.
   void InsertEntry(const HeapEntry entry) {
     const Time at = EntryTime(entry);
-    if (mode_ == SchedulerMode::kHeapOnly ||
-        TimerEntries() < kWheelMinPopulation) {
-      // Sparse regime (or heap-only mode): see kWheelMinPopulation. The
-      // regimes mix freely — entries already in the wheel stay there and
-      // drain in order regardless of where new inserts land.
+    if (TimerEntries() < kWheelMinPopulation) {
+      // Sparse regime: see kWheelMinPopulation. The regimes mix freely —
+      // entries already in the wheel stay there and drain in order
+      // regardless of where new inserts land.
       heap_.push_back(entry);
       SiftUp(heap_.size() - 1);
       return;
@@ -579,10 +567,9 @@ class EventLoop {
 
   Time now_ = 0;
   std::uint32_t next_seq_ = 1;
-  SchedulerMode mode_ = SchedulerMode::kWheel;
   EventLoopProbe* probe_ = nullptr;
   std::uint64_t executed_ = 0;
-  /// Far-future overflow (and, in kHeapOnly mode, every pending timer).
+  /// Far-future overflow, plus every pending timer in the sparse regime.
   std::vector<HeapEntry> heap_;
   // Wheel state — see the geometry comment above. Bucket vectors grow to
   // their high-water mark and are then reused forever (clear() keeps

@@ -35,15 +35,6 @@ class FastDiv {
 
   [[nodiscard]] std::int64_t divisor() const { return divisor_; }
 
-  /// The precomputed multiplier (0 when the divisor has no fast path). The
-  /// wifi EDCA SIMD freeze kernel replays the same multiply-shift in vector
-  /// lanes; its gate requires magic() != 0 — and, on the SSE2 32x32->64
-  /// multiply, magic() < 2^32 (see wifi/edca_simd.h).
-  [[nodiscard]] std::uint64_t magic() const { return magic_; }
-  /// The shift paired with magic(): result = (n * magic()) >> kMagicShift,
-  /// exact for 0 <= n < kMaxFastDividend.
-  static constexpr int kMagicShift = 40;
-
   /// floor(n / divisor) for n >= 0.
   [[nodiscard]] std::int64_t Divide(std::int64_t n) const {
     if (magic_ != 0 && n < kMaxFastDividend) {

@@ -89,7 +89,7 @@ class AirtimeCache {
     return e.airtime;
   }
 
-  // Introspection (tests and the --breakdown bench record).
+  // Introspection (tests).
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }

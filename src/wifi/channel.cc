@@ -2,67 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <limits>
 #include <utility>
 
 namespace kwikr::wifi {
-
-namespace {
-// Bound on same-tick staged deliveries (see deliver_stage_). The invariant
-// depth is 1 — the next delivery is staged strictly later in sim time — so
-// this is pure headroom; overflow falls back to the by-value closure.
-constexpr std::size_t kDeliverStageCapacity = 64;
-
-// Process-wide construction default for delivery batching; test-only (the
-// golden on/off differential flips it around scenario runs). Plain bool:
-// single-threaded setup contract, documented on the setter.
-bool g_default_delivery_batching = true;
-
-// Cheap monotonic cycle counter for the --breakdown stage attribution.
-// Shares are ratios of the same counter, so the unit (TSC ticks, generic
-// timer ticks, or ns) cancels out.
-inline std::uint64_t StageCycles() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_ia32_rdtsc();
-#elif defined(__aarch64__)
-  std::uint64_t v = 0;
-  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-  return v;
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
-}  // namespace
-
-void Channel::SetDefaultDeliveryBatchingForTest(bool enabled) {
-  g_default_delivery_batching = enabled;
-}
 
 Channel::Channel(sim::EventLoop& loop, sim::Rng rng, PhyParams phy)
     : loop_(loop),
       rng_(rng),
       phy_(phy),
       edca_(phy.slot),
-      airtime_cache_(phy_),
-      deliver_stage_(kDeliverStageCapacity) {
-  delivery_batching_ = g_default_delivery_batching;
-  // Pre-grow the staging ring to its bound at setup so the frame path's
-  // zero-allocation invariant holds from the first delivery.
-  for (std::size_t i = 0; i < kDeliverStageCapacity; ++i) {
-    deliver_stage_.push_back(Frame{});
-  }
-  deliver_stage_.clear();
-}
-
-void Channel::SetDeliverStageCapacityForTest(std::size_t capacity) {
-  deliver_stage_ = sim::FrameRing<Frame>(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    deliver_stage_.push_back(Frame{});
-  }
-  deliver_stage_.clear();
-}
+      airtime_cache_(phy_) {}
 
 OwnerId Channel::RegisterOwner(DeliveryHandler on_delivery) {
   owners_.push_back(Owner{on_delivery, 0});
@@ -151,31 +100,12 @@ double Channel::BusyFraction() const {
 
 bool Channel::MediumIdle() const { return !busy_; }
 
-sim::Duration Channel::FrameAirtimeCached(const Frame& f) {
-  if (stage_profile_ == nullptr) {
-    return airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
-  }
-  const std::uint64_t t0 = StageCycles();
-  const sim::Duration airtime =
-      airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
-  stage_profile_->airtime_cycles += StageCycles() - t0;
-  ++stage_profile_->airtime_calls;
-  return airtime;
-}
-
 void Channel::BeginIdlePeriod() {
   busy_ = false;
   // One batched sweep restarts every backlogged countdown AND finds the
   // earliest candidate (draw order and result are exactly those of the old
   // per-contender restart-then-rescan code — see EdcaCore::BeginIdle).
-  const bool prof = stage_profile_ != nullptr;
-  const std::uint64_t t0 = prof ? StageCycles() : 0;
-  const sim::Time earliest = edca_.BeginIdle(loop_.now(), rng_);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
-  ArmArbitration(earliest);
+  ArmArbitration(edca_.BeginIdle(loop_.now(), rng_));
 }
 
 void Channel::CancelArbitration() {
@@ -191,14 +121,7 @@ void Channel::ScheduleArbitration() {
     CancelArbitration();
     return;
   }
-  const bool prof = stage_profile_ != nullptr;
-  const std::uint64_t t0 = prof ? StageCycles() : 0;
-  const sim::Time earliest = edca_.EarliestCandidate(rng_);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
-  ArmArbitration(earliest);
+  ArmArbitration(edca_.EarliestCandidate(rng_));
 }
 
 void Channel::ArmArbitration(sim::Time earliest) {
@@ -231,16 +154,10 @@ void Channel::StartTransmissions(sim::Time start) {
   // far (a branchless column pass — see EdcaCore::Arbitrate). The
   // winner/loser sets live in member scratch vectors: after warm-up this
   // function performs no allocation at all (see bench/micro_channel).
-  const bool prof = stage_profile_ != nullptr;
-  std::uint64_t t0 = prof ? StageCycles() : 0;
   std::vector<ContenderId>& winners = winners_scratch_;
   winners.clear();
   edca_.Arbitrate(start, winners);
   if (winners.empty()) {
-    if (prof) {
-      stage_profile_->arbitration_cycles += StageCycles() - t0;
-      ++stage_profile_->arbitration_calls;
-    }
     ScheduleArbitration();
     return;
   }
@@ -268,10 +185,6 @@ void Channel::StartTransmissions(sim::Time start) {
     }
   }
   for (ContenderId id : virtual_losers) HandleFailure(id);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
 
   // Medium goes busy for the longest of the simultaneous transmissions.
   sim::Time end = start;
@@ -288,21 +201,14 @@ void Channel::StartTransmissions(sim::Time start) {
   busy_until_ = end;
 
   // The transmitter set rides in in_flight_ (the medium is busy until
-  // tx_done fires, so there is exactly one set in flight): the closure
-  // captures two words instead of a heap-backed vector copy.
-  if (delivery_batching_) {
-    // Rearmable: TXOP continuations re-fire this same slot and closure (see
-    // FinishTransmissions), so a whole burst costs one schedule. The closure
-    // reads busy_until_ — updated per continuation — instead of capturing
-    // the end time.
-    auto tx_done = [this] { FinishTransmissions(busy_until_); };
-    static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
-    loop_.ScheduleRearmableAt(end, "wifi.tx_done", std::move(tx_done));
-  } else {
-    auto tx_done = [this, end] { FinishTransmissions(end); };
-    static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
-    loop_.ScheduleAt(end, "wifi.tx_done", std::move(tx_done));
-  }
+  // tx_done fires, so there is exactly one set in flight), and the event is
+  // rearmable: TXOP continuations re-fire this same slot and closure (see
+  // FinishTransmissions), so a whole burst costs one schedule. The closure
+  // reads busy_until_ — updated per continuation — instead of capturing the
+  // end time.
+  auto tx_done = [this] { FinishTransmissions(busy_until_); };
+  static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
+  loop_.ScheduleRearmableAt(end, "wifi.tx_done", std::move(tx_done));
 }
 
 void Channel::FinishTransmissions(sim::Time end) {
@@ -336,19 +242,9 @@ void Channel::FinishTransmissions(sim::Time end) {
           // already holds exactly {id}; the medium stays busy — no idle
           // transition yet.
           busy_until_ = end + phy_.sifs + airtime;
-          if (delivery_batching_) {
-            // Re-fire this very event (slot + closure reused, zero churn);
-            // retag so the probe keeps the legacy tx_done/txop_burst split.
-            loop_.RearmCurrentAt(busy_until_, "wifi.txop_burst");
-          } else {
-            auto finish_burst = [this, until = busy_until_] {
-              FinishTransmissions(until);
-            };
-            static_assert(
-                sim::InlineTask::fits_inline<decltype(finish_burst)>);
-            loop_.ScheduleAt(busy_until_, "wifi.txop_burst",
-                             std::move(finish_burst));
-          }
+          // Re-fire this very event (slot + closure reused, zero churn);
+          // retag so the probe keeps the tx_done/txop_burst split.
+          loop_.RearmCurrentAt(busy_until_, "wifi.txop_burst");
           continued = true;
         }
       }
@@ -356,28 +252,18 @@ void Channel::FinishTransmissions(sim::Time end) {
   }
 
   if (!continued) BeginIdlePeriod();
-  // Deliver the staged frame inline (batching mode), AFTER the medium-state
-  // transition above: the owner hook observes exactly the channel state the
-  // scheduled delivery event used to observe, and its reactions (Enqueue ->
-  // Join -> arbitration re-arm, with their RNG draws) happen in the same
-  // relative order.
-  DrainStagedDeliveries();
+  // Deliver the staged frame inline, AFTER the medium-state transition
+  // above: the owner hook observes the channel state a zero-delay delivery
+  // event scheduled here would observe, and its reactions (Enqueue -> Join
+  // -> arbitration re-arm, with their RNG draws) happen in the same relative
+  // order.
+  DrainStagedDelivery();
 }
 
-void Channel::DrainStagedDeliveries() {
-  if (!delivery_batching_) return;  // ring is owned by scheduled events.
-  while (!deliver_stage_.empty()) {
-    Frame& staged = deliver_stage_.front();
-    Owner& owner = owners_[staged.dest];
-    const bool prof = stage_profile_ != nullptr;
-    const std::uint64_t t0 = prof ? StageCycles() : 0;
-    owner.on_delivery(std::move(staged));
-    if (prof) {
-      stage_profile_->delivery_cycles += StageCycles() - t0;
-      ++stage_profile_->delivery_calls;
-    }
-    deliver_stage_.pop_front();
-  }
+void Channel::DrainStagedDelivery() {
+  if (!has_staged_) return;
+  owners_[staged_.dest].on_delivery(std::move(staged_));
+  has_staged_ = false;
 }
 
 void Channel::HandleFailure(ContenderId id) {
@@ -401,7 +287,7 @@ void Channel::HandleFailure(ContenderId id) {
 void Channel::HandleSuccess(ContenderId id, sim::Time end) {
   Contender& c = contenders_[id];
   // The frame is stamped IN the ring head and moved straight into the
-  // staging ring / delivery closure below — one 184-byte copy per delivered
+  // staging slot / delivery closure below — one 184-byte copy per delivered
   // frame, not two. Nothing between here and the pop re-enters this queue:
   // delivery runs after the medium-state transition (inline drain or
   // scheduled event), and the tx-feedback / fault hooks only update rate
@@ -442,30 +328,19 @@ void Channel::HandleSuccess(ContenderId id, sim::Time end) {
       copies = 1 + std::max(fault.duplicates, 0);
     }
     // Deliver at the end of the frame (now). The common (unfaulted,
-    // undelayed) frame is moved into the staging ring: with batching on,
-    // FinishTransmissions drains it inline right after the medium-state
-    // transition (one dispatch for the whole frame cycle); with batching
-    // off, a "wifi.deliver" event capturing only `this` pops it — staged
-    // events fire FIFO in exactly their scheduling order (see
-    // deliver_stage_).
-    if (deliver_at == end && copies == 1 &&
-        deliver_stage_.push_back(std::move(frame))) {
+    // undelayed) frame is staged for FinishTransmissions' tail, which hands
+    // it to the owner right after the medium-state transition — one
+    // dispatch for the whole frame cycle (see staged_).
+    if (deliver_at == end && copies == 1) {
+      assert(!has_staged_ && "a frame cycle stages at most one delivery");
+      staged_ = std::move(frame);
+      has_staged_ = true;
       c.queue.pop_front();
-      if (!delivery_batching_) {
-        auto deliver = [this] {
-          Frame& staged = deliver_stage_.front();
-          owners_[staged.dest].on_delivery(std::move(staged));
-          deliver_stage_.pop_front();
-        };
-        static_assert(sim::InlineTask::fits_inline<decltype(deliver)>);
-        loop_.ScheduleAt(deliver_at, "wifi.deliver", std::move(deliver));
-      }
     } else {
-      // Delayed or duplicated deliveries (fault hook) and staging-ring
-      // overflow tolerate arbitrary ordering, so they ride the
-      // Frame-by-value closure — the largest event closure in the tree;
-      // InlineTask's buffer is sized to hold it, and the static_assert
-      // keeps that true as Packet/Frame grow.
+      // Delayed or duplicated deliveries (fault hook) tolerate arbitrary
+      // ordering, so they ride the Frame-by-value closure — the largest
+      // event closure in the tree; InlineTask's buffer is sized to hold it,
+      // and the static_assert keeps that true as Packet/Frame grow.
       for (int copy = 1; copy < copies; ++copy) {
         auto deliver_copy = [this, dest, frame]() mutable {
           owners_[dest].on_delivery(std::move(frame));

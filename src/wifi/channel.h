@@ -82,9 +82,8 @@ using FrameErrorModel =
 /// (index arithmetic, no deque segment churn), and the contention math —
 /// countdown bases, backoff counters, the CW ladder — lives in wifi::EdcaCore
 /// as struct-of-arrays columns swept in batched, largely branchless passes
-/// (vectorized with SSE2/NEON kernels where the timing permits — see
-/// wifi/edca_simd.h) with generation-stamped lazy backlog removal. Per-frame
-/// airtime goes through a small shared (rate, size) -> duration table
+/// with generation-stamped lazy backlog removal. Per-frame airtime goes
+/// through a small shared (rate, size) -> duration table
 /// (wifi::AirtimeCache), so the PHY airtime division runs once per frame
 /// SHAPE per run, not per contender transition. TXOP bursts ride ONE
 /// rearmable finish event (sim::EventLoop::RearmCurrentAt) and deliver each
@@ -170,45 +169,6 @@ class Channel {
     return txop_continuations_;
   }
 
-  /// The shared airtime shape cache (introspection: hit/miss counters feed
-  /// the bench --breakdown record and the frame_path tests).
-  [[nodiscard]] const AirtimeCache& airtime_cache() const {
-    return airtime_cache_;
-  }
-
-  /// Per-stage cycle attribution for bench/micro_channel --breakdown.
-  /// Detached (nullptr, the default) the frame cycle pays one predictable
-  /// null-check branch per instrumented stage and no clock reads — the same
-  /// contract as the flight recorder (DESIGN.md §15).
-  struct StageProfile {
-    std::uint64_t arbitration_cycles = 0;  ///< EdcaCore sweeps + winner work.
-    std::uint64_t airtime_cycles = 0;      ///< airtime cache lookups.
-    std::uint64_t delivery_cycles = 0;     ///< owner delivery hooks.
-    std::uint64_t arbitration_calls = 0;
-    std::uint64_t airtime_calls = 0;
-    std::uint64_t delivery_calls = 0;
-  };
-  void SetStageProfile(StageProfile* profile) { stage_profile_ = profile; }
-
-  /// Burst delivery batching: when on (the default), a delivered frame's
-  /// owner hook runs inline at the tail of the finishing tx event — exact
-  /// same tick, exact same hook order, one event-loop dispatch per burst
-  /// frame instead of two — and TXOP continuations rearm the finish event in
-  /// place instead of scheduling a fresh one. Off restores the pre-batching
-  /// scheduled-delivery path (kept as the differential reference; the golden
-  /// corpus must be byte-identical either way). Per-instance; flip only at
-  /// setup.
-  void SetDeliveryBatching(bool enabled) { delivery_batching_ = enabled; }
-  [[nodiscard]] bool delivery_batching() const { return delivery_batching_; }
-  /// Process-wide default for channels constructed afterwards (test-only:
-  /// lets the golden on/off differential reach channels built deep inside
-  /// scenario runners). Not thread-safe; set it before spawning workers.
-  static void SetDefaultDeliveryBatchingForTest(bool enabled);
-
-  /// Rebuilds the delivery staging ring with `capacity` slots (test-only:
-  /// forces the overflow fallback path; capacity 0 rejects every push).
-  void SetDeliverStageCapacityForTest(std::size_t capacity);
-
  private:
   struct Contender {
     OwnerId owner = 0;
@@ -229,12 +189,13 @@ class Channel {
   };
 
   [[nodiscard]] bool MediumIdle() const;
-  /// Airtime of `f` through the shared shape cache (profiled when a
-  /// StageProfile is attached).
-  [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f);
-  /// Invokes every staged owner hook (batching mode) inside the current
-  /// dispatch.
-  void DrainStagedDeliveries();
+  /// Airtime of `f` through the shared shape cache.
+  [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f) {
+    return airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
+  }
+  /// Invokes the staged owner hook, if a frame is staged, inside the
+  /// current dispatch.
+  void DrainStagedDelivery();
   void BeginIdlePeriod();
   void ScheduleArbitration();
   /// Arms (or re-arms) the arbitration event for candidate time `earliest`
@@ -273,17 +234,17 @@ class Channel {
   /// end time — the per-transmission vector allocations this replaces were
   /// a top line in the fig10 profile.
   std::vector<ContenderId> in_flight_;
-  /// Staging ring for same-tick deliveries: the common (unfaulted,
-  /// undelayed) delivered frame is moved here and its "wifi.deliver" event
-  /// captures only [this, dest] — 16 bytes instead of a 200-byte
-  /// Frame-by-value closure, which removes a 184-byte copy plus the fat
-  /// InlineTask slot traffic from every delivery. Safe because staged
-  /// deliveries are popped FIFO in exactly their scheduling order: same-tick
-  /// events dispatch in FIFO order, every staged event drains before the
-  /// clock can advance, and nothing else touches the ring mid-invoke.
-  /// Delayed / duplicated deliveries (fault hook) and ring overflow fall
-  /// back to the by-value closure, which tolerates any ordering.
-  sim::FrameRing<Frame> deliver_stage_;
+  /// The delivered frame awaiting its owner hook at the tail of the current
+  /// FinishTransmissions. The common (unfaulted, undelayed) delivery is
+  /// moved here instead of into a 200-byte Frame-by-value "wifi.deliver"
+  /// closure, and DrainStagedDelivery hands it over inline — no event, no
+  /// extra copy. One slot is enough: a FinishTransmissions resolves at most
+  /// one successful frame (a collision delivers nothing) and drains it
+  /// before returning, and owner hooks never re-enter FinishTransmissions;
+  /// HandleSuccess asserts the slot is free. Delayed / duplicated deliveries
+  /// (fault hook) ride by-value closures, which tolerate any ordering.
+  Frame staged_;
+  bool has_staged_ = false;
   // Scratch for StartTransmissions (not re-entrant; event-driven only).
   std::vector<ContenderId> winners_scratch_;
   std::vector<ContenderId> losers_scratch_;
@@ -292,9 +253,6 @@ class Channel {
   sim::Time busy_started_ = 0;
   std::uint64_t collisions_ = 0;
   std::uint64_t txop_continuations_ = 0;
-
-  bool delivery_batching_ = true;  ///< see SetDeliveryBatching.
-  StageProfile* stage_profile_ = nullptr;
 };
 
 }  // namespace kwikr::wifi

@@ -48,15 +48,6 @@ class EdcaCore {
 
   explicit EdcaCore(sim::Duration slot);
 
-  /// Whether the vector (SSE2/NEON) column sweeps are in use. Defaults to
-  /// "compiled in and the slot timing satisfies the kernels' value-range
-  /// contract"; the KWIKR_EDCA_NO_SIMD environment variable (any value)
-  /// forces the scalar branchless path — that is the portable-fallback CI
-  /// leg. The two paths are state-identical by construction and pinned
-  /// against each other by the EdcaCoreDifferential test.
-  void SetSimdEnabled(bool enabled);
-  [[nodiscard]] bool simd_enabled() const { return simd_enabled_; }
-
   /// Registers a contender with its (fixed) EDCA timing; returns its id.
   ContenderId Add(sim::Duration aifs, int cw_min, int cw_max);
 
@@ -150,22 +141,8 @@ class EdcaCore {
     return out;
   }
 
-  /// True when the batched sweeps may run the vector kernels over the FULL
-  /// SoA columns [0, size()). Beyond the user switch this folds in the
-  /// value-range gates of wifi/edca_simd.h: slot fits u32 (min-scan lane
-  /// multiply) and the FastDiv magic fits u32 (freeze lane multiply). The
-  /// per-arbitration delta-window check lives in Arbitrate itself.
-  [[nodiscard]] bool UseSimd(std::size_t live_entries) const {
-    // Full-column sweeps only pay off when the backlog is dense; sparse
-    // populations (hundreds of registered contenders, a handful backlogged)
-    // keep the compacted scalar walk. Either path computes identical state.
-    return simd_ok_ && live_entries * 4 >= size();
-  }
-
   sim::Duration slot_;
   sim::FastDiv slot_div_;
-  bool simd_enabled_ = false;  ///< user/env switch (SetSimdEnabled).
-  bool simd_ok_ = false;       ///< simd_enabled_ && value-range gates hold.
 
   // Hot SoA columns (indexed by ContenderId).
   std::vector<sim::Time> base_;

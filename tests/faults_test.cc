@@ -93,6 +93,34 @@ TEST(FaultSpecTest, RejectsMalformedInput) {
   EXPECT_FALSE(faults::ParseFaultSpec("schedule=10 ge", &spec, &error));
 }
 
+TEST(FaultSpecTest, RejectsOutOfRangeNumbers) {
+  // Probabilities must be finite and in [0, 1]; millisecond values finite,
+  // >= 0 and representable as a sim::Duration; integers in range.
+  const char* kRows[] = {
+      "reorder.prob=7",
+      "drop.prob=nan",
+      "duplicate.prob=-0.1",
+      "wan.loss_prob=1.5",
+      "ge.loss_bad=inf",
+      "wmm.honor_prob=0x1p+1",
+      "ge.mean_good_ms=-5",
+      "reorder.delay_ms=1e300",
+      "wan.jitter_ms=nan",
+      "churn.period_ms=-1",
+      "skew.offset_ms=inf",
+      "skew.ppm=nan",
+      "churn.low_rate_bps=99999999999999999999",
+      "churn.low_rate_bps=0",
+      "schedule=1e300 ge on",
+      "schedule=9300000000000 ge on",
+  };
+  for (const char* row : kRows) {
+    faults::FaultSpec spec;
+    std::string error;
+    EXPECT_FALSE(faults::ParseFaultSpec(row, &spec, &error)) << row;
+  }
+}
+
 // --- Gilbert–Elliott chain -------------------------------------------------
 
 TEST(GilbertElliottTest, DeterministicInSeed) {

@@ -282,6 +282,36 @@ TEST(WildCallCodec, RejectsMalformedLines) {
   EXPECT_FALSE(scenario::DecodeWildCallLine("", &index, &decoded));
 }
 
+TEST(WildCallCodec, RejectsNonCanonicalNumbers) {
+  const std::string line = scenario::EncodeWildCallLine(3, SampleResult());
+  // Each row rewrites one field of a canonical line into a spelling that
+  // parses to some value but is not what the encoder writes.
+  const struct {
+    const char* field;  ///< canonical `"key":value` as encoded.
+    const char* spelled;
+  } kRows[] = {
+      {"\"call\":3", "\"call\":18446744073709551619"},  // u64 wraps to 3
+      {"\"call\":3", "\"call\":03"},
+      {"\"p95_tq_ms\":98.625", "\"p95_tq_ms\":0x1.8a8p+6"},  // hex float
+      {"\"p95_tc_ms\":0.10000000000000001",
+       "\"p95_tc_ms\": 0.10000000000000001"},
+      {"\"kwikr_rate_kbps\":2048.5", "\"kwikr_rate_kbps\":2048.50"},
+      {"\"probe_samples\":57", "\"probe_samples\":4294967353"},  // int wrap
+      {"\"events\":1234567", "\"events\":18446744073710786183"},  // wraps
+  };
+  for (const auto& row : kRows) {
+    std::string spelled = line;
+    const auto at = spelled.find(row.field);
+    ASSERT_NE(at, std::string::npos) << row.field;
+    spelled.replace(at, std::string(row.field).size(), row.spelled);
+    std::uint64_t index = 99;
+    scenario::WildCallResult decoded;
+    EXPECT_FALSE(scenario::DecodeWildCallLine(spelled, &index, &decoded))
+        << spelled;
+    EXPECT_EQ(index, 99u) << "outputs must stay untouched on failure";
+  }
+}
+
 // ------------------------------------------- inline worker + resume ------
 
 TEST(ShardRunner, InlineWorkerSpillsAndMergesInGlobalOrder) {

@@ -9,6 +9,7 @@
 #include "core/ping_pair.h"
 #include "core/wmm_detector.h"
 #include "scenario/call_experiment.h"
+#include "scenario/fault_scenario.h"
 #include "scenario/testbed.h"
 #include "scenario/wild_population.h"
 #include "stats/percentile.h"
@@ -535,6 +536,38 @@ TEST(DualPingPairSim, FiltersRetransmissionSpikesOnWeakLink) {
                             smoothed.Update(sim::ToMillis(s.tq)));
   }
   EXPECT_LT(max_smoothed, 5.0);
+}
+
+// ------------------------------------------------------- scenario DSL ----
+
+TEST(FaultScenarioDsl, RejectsOutOfRangeNumbers) {
+  // Each row would otherwise overflow a sim::Duration, narrow an integer
+  // into a garbage value, or cast an out-of-range double.
+  const char* kRows[] = {
+      "duration_ms=99999999999999",
+      "congestion_start_ms=9223372036855",
+      "probe_interval_ms=9223372036855",
+      "cross_stations=3000000000",
+      "flows_per_station=2147483648",
+      "fq_flows=5000000000",
+      "fq_flows=4294967296",  // would narrow to 0 buckets
+      "anomaly_tq_p95_ms=inf",
+      "anomaly_divergence=1e400",
+      "fault.schedule=1e300 ge on",
+      "fault.reorder.prob=7",
+      "fault.drop.prob=nan",
+  };
+  for (const char* row : kRows) {
+    FaultScenario parsed;
+    std::string error;
+    EXPECT_FALSE(ParseFaultScenario(row, &parsed, &error)) << row;
+  }
+  // The largest representable duration still parses.
+  FaultScenario parsed;
+  std::string error;
+  EXPECT_TRUE(ParseFaultScenario("duration_ms=9223372036854", &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.experiment.duration, sim::Millis(9223372036854));
 }
 
 // --------------------------------------------------------- Wild helper ----

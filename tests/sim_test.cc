@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -643,10 +644,10 @@ TEST(EventLoop, DifferentialAgainstReferenceScheduler) {
 // --------------------------------------------------------- timer wheel ----
 //
 // The hierarchical wheel (L0: 256 x 8.192 us buckets, L1: 64 x 2.097 ms
-// buckets, heap overflow past 134.2 ms) must be observationally identical to
-// the plain 4-ary heap. Below kWheelMinPopulation pending timers inserts
-// take the heap path, so these tests first build a padding population that
-// forces subsequent inserts into the wheel proper.
+// buckets, heap overflow past 134.2 ms) must dispatch in the exact (time,
+// seq) order of a plain priority queue. Below kWheelMinPopulation pending
+// timers inserts take the heap path, so these tests first build a padding
+// population that forces subsequent inserts into the wheel proper.
 
 namespace {
 
@@ -779,21 +780,23 @@ TEST(EventLoop, WheelIdleResyncSurvivesFarFutureCancelChurn) {
   }
 }
 
-// 10^5 randomized schedule/cancel/step operations executed in lockstep on a
-// wheel-mode loop and a heap-only loop: the wheel (with its sparse-regime
-// heap fallback and cascades) must be observationally indistinguishable
-// from the plain heap — same execution order, clock, cancel results, and
-// pending counts. Deltas mix the now-queue, L0, L1, and overflow scales so
-// the population migrates between every regime.
-TEST(EventLoop, WheelDifferentialAgainstHeapOnlyScheduler) {
-  EventLoop wheel(SchedulerMode::kWheel);
-  EventLoop heap(SchedulerMode::kHeapOnly);
+// 10^5 randomized schedule/cancel/step operations executed in lockstep on
+// the loop and an ordered-map oracle keyed by (time, schedule order) — the
+// total order the loop promises. The wheel, with its sparse-regime heap
+// fallback and its cascades, must agree on execution order, clock, cancel
+// results, and pending counts. Deltas mix the now-queue, L0, L1, and
+// overflow scales so the population migrates between every regime. (The
+// flat-scan ReferenceScheduler above is the same oracle, but its linear
+// steps are too slow at this population under the sanitizers.)
+TEST(EventLoop, WheelDifferentialAgainstOrderedMapOracle) {
+  EventLoop loop;
+  std::map<std::pair<Time, int>, int> oracle;  // (time, order) -> tag
+  Time oracle_now = 0;
   Rng rng(0x5EED'0002u);
-  std::vector<int> wheel_log;
-  std::vector<int> heap_log;
-  std::vector<EventId> wheel_ids;
-  std::vector<EventId> heap_ids;
-  int next_tag = 0;
+  std::vector<int> log;
+  // The i-th schedule's loop id and oracle key; its tag is i.
+  std::vector<EventId> ids;
+  std::vector<std::pair<Time, int>> keys;
 
   for (int op = 0; op < 100'000; ++op) {
     const auto roll = rng.UniformInt(0, 9);
@@ -804,40 +807,47 @@ TEST(EventLoop, WheelDifferentialAgainstHeapOnlyScheduler) {
           : scale == 1 ? rng.UniformInt(0, Millis(2))      // L0 span
           : scale == 2 ? rng.UniformInt(0, Millis(130))    // L1 span
                        : rng.UniformInt(0, Seconds(1));    // overflow heap
-      const Time at = wheel.now() + delta;
-      const int tag = next_tag++;
-      wheel_ids.push_back(
-          wheel.ScheduleAt(at, [tag, &wheel_log] { wheel_log.push_back(tag); }));
-      heap_ids.push_back(
-          heap.ScheduleAt(at, [tag, &heap_log] { heap_log.push_back(tag); }));
+      const Time at = loop.now() + delta;
+      const int tag = static_cast<int>(ids.size());
+      ids.push_back(loop.ScheduleAt(at, [tag, &log] { log.push_back(tag); }));
+      keys.emplace_back(at, tag);
+      oracle.emplace(keys.back(), tag);
     } else if (roll < 8) {  // cancel a random past id, maybe stale (30%)
-      if (!wheel_ids.empty()) {
+      if (!ids.empty()) {
         const auto pick = static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<int>(wheel_ids.size()) - 1));
-        ASSERT_EQ(wheel.Cancel(wheel_ids[pick]), heap.Cancel(heap_ids[pick]))
+            rng.UniformInt(0, static_cast<int>(ids.size()) - 1));
+        ASSERT_EQ(loop.Cancel(ids[pick]), oracle.erase(keys[pick]) == 1)
             << "op " << op;
       }
     } else {  // step one event (20%)
-      const bool wheel_ran = wheel.Step();
-      const bool heap_ran = heap.Step();
-      ASSERT_EQ(wheel_ran, heap_ran) << "op " << op;
-      if (wheel_ran) {
-        ASSERT_EQ(wheel_log.size(), heap_log.size()) << "op " << op;
-        ASSERT_EQ(wheel_log.back(), heap_log.back()) << "op " << op;
-        ASSERT_EQ(wheel.now(), heap.now()) << "op " << op;
+      const std::size_t ran_before = log.size();
+      const bool ran = loop.Step();
+      ASSERT_EQ(ran, !oracle.empty()) << "op " << op;
+      if (ran) {
+        ASSERT_EQ(log.size(), ran_before + 1) << "op " << op;
+        const auto head = oracle.begin();
+        ASSERT_EQ(log.back(), head->second) << "op " << op;
+        oracle_now = head->first.first;
+        oracle.erase(head);
+        ASSERT_EQ(loop.now(), oracle_now) << "op " << op;
       }
     }
     if (op % 1024 == 0) {
-      ASSERT_EQ(wheel.pending(), heap.pending()) << "op " << op;
+      ASSERT_EQ(loop.pending(), oracle.size()) << "op " << op;
     }
   }
-  wheel.Run();
-  heap.Run();
-  EXPECT_EQ(wheel_log, heap_log);
-  EXPECT_EQ(wheel.now(), heap.now());
-  EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_EQ(heap.pending(), 0u);
-  EXPECT_EQ(wheel.executed(), heap.executed());
+  const std::size_t drained = log.size();
+  loop.Run();
+  std::vector<int> expect;
+  for (const auto& [key, tag] : oracle) {
+    expect.push_back(tag);
+    oracle_now = key.first;
+  }
+  EXPECT_EQ(std::vector<int>(log.begin() + static_cast<std::ptrdiff_t>(drained),
+                             log.end()),
+            expect);
+  EXPECT_EQ(loop.now(), oracle_now);
+  EXPECT_EQ(loop.pending(), 0u);
 }
 
 // ----------------------------------------------------------------- Rng ----
