@@ -60,7 +60,7 @@ struct DelayAccumulator {
   /// to be meaningful; calls below the floor are excluded from every
   /// distribution (and counted, so short --call-seconds runs warn loudly
   /// instead of silently reporting percentiles of near-empty calls).
-  static constexpr std::uint64_t kSampleFloor = 10;
+  static constexpr int kSampleFloor = 10;
   stats::Histogram self_ms{kBinning};
   stats::Histogram cross_ms{kBinning};
   stats::Histogram total_ms{kBinning};

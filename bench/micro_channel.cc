@@ -229,8 +229,8 @@ std::string ToJson(const Results& r, bool quick) {
       "\"wall_ms\":%.1f,\"peak_rss_kb\":%lu}\n",
       // The committed (non-quick) trajectory line is tagged with the
       // frame-path generation so regressions bisect cleanly: "burst" = TXOP
-      // burst batching + shared airtime cache (vs "batched" = the SoA
-      // EdcaCore sweeps, vs the retired per-contender "full").
+      // burst batching (vs "batched" = the SoA EdcaCore sweeps, vs the
+      // retired per-contender "full").
       quick ? "quick" : "burst", static_cast<unsigned long long>(r.frames),
       r.frames_per_sec, r.events_per_sec, r.allocs_per_frame, r.probe_share,
       r.busy_fraction, static_cast<unsigned long long>(r.collisions),

@@ -1,7 +1,7 @@
 // Scenario CLI: run a custom call experiment from the command line and get
 // a per-second rate series plus summary metrics (optionally as CSV).
 //
-//   ./build/examples/simulate --duration 120 --cross-stations 2 --flows 10 \
+//   ./build/examples/simulate --duration 120 --cross-stations 2 --flows 10
 //       --congest 40:80 --kwikr --seed 7 --csv rates.csv
 //
 // Flags:

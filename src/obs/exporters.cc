@@ -183,48 +183,6 @@ bool WritePrometheus(const MetricsRegistry& registry,
   return WriteFile(PrometheusText(registry), path, "prometheus");
 }
 
-std::string MetricsJsonl(const MetricsRegistry& registry) {
-  const auto rows = registry.Snapshot();
-  std::string out;
-  for (const auto& row : rows) {
-    out += "{\"metric\":\"" + JsonEscape(row.name) + "\",\"labels\":{";
-    bool first = true;
-    for (const auto& [key, value] : row.labels) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
-    }
-    out += "}";
-    switch (row.kind) {
-      case MetricsRegistry::Row::Kind::kCounter:
-        out += ",\"kind\":\"counter\",\"value\":" +
-               FormatCount(row.counter_value);
-        break;
-      case MetricsRegistry::Row::Kind::kGauge:
-        out += ",\"kind\":\"gauge\",\"value\":" +
-               FormatDouble(row.gauge_value);
-        break;
-      case MetricsRegistry::Row::Kind::kHistogram:
-        out += ",\"kind\":\"histogram\",\"count\":" +
-               FormatCount(static_cast<std::uint64_t>(row.histogram.count()));
-        out += ",\"min\":" + FormatDouble(row.histogram.min());
-        out += ",\"max\":" + FormatDouble(row.histogram.max());
-        for (const double p : {50.0, 90.0, 95.0, 99.0}) {
-          out += ",\"p" + FormatCount(static_cast<std::uint64_t>(p)) +
-                 "\":" + FormatDouble(row.histogram.Percentile(p));
-        }
-        break;
-    }
-    out += "}\n";
-  }
-  return out;
-}
-
-bool WriteMetricsJsonl(const MetricsRegistry& registry,
-                       const std::string& path) {
-  return WriteFile(MetricsJsonl(registry), path, "jsonl");
-}
-
 void ChromeTraceWriter::Append(TraceEvent event) {
   events_.push_back(std::move(event));
 }

@@ -24,13 +24,6 @@ std::string PrometheusText(const MetricsRegistry& registry);
 /// on stderr) when the file can't be opened.
 bool WritePrometheus(const MetricsRegistry& registry, const std::string& path);
 
-/// Serializes a registry snapshot as JSON Lines — one
-/// {"metric":...,"labels":{...},...} object per series, the same one-object-
-/// per-line convention as the timeline and flight-recorder dumps.
-std::string MetricsJsonl(const MetricsRegistry& registry);
-bool WriteMetricsJsonl(const MetricsRegistry& registry,
-                       const std::string& path);
-
 /// TraceSink producing Chrome trace_event JSON, loadable in
 /// chrome://tracing or Perfetto. Simulated time maps to the trace `ts`
 /// microsecond axis; wall-clock span durations are preserved under

@@ -21,6 +21,13 @@ void HistogramCell::Merge(const stats::Histogram& other) {
   histogram_.Merge(other);
 }
 
+bool HistogramCell::TryMerge(const stats::Histogram& other) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!histogram_.Mergeable(other)) return false;
+  histogram_.Merge(other);
+  return true;
+}
+
 stats::Histogram HistogramCell::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return histogram_;

@@ -74,6 +74,9 @@ class HistogramCell {
 
   void Observe(double sample);
   void Merge(const stats::Histogram& other);
+  /// Merge for untrusted input: returns false, leaving the cell unchanged,
+  /// when `other` is not stats::Histogram::Mergeable into it.
+  [[nodiscard]] bool TryMerge(const stats::Histogram& other);
   [[nodiscard]] stats::Histogram Snapshot() const;
 
  private:

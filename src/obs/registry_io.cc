@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +102,11 @@ class Scanner {
     const std::size_t start = pos_;
     std::uint64_t value = 0;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
+      if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+        return false;  // out of range: no writer emits it.
+      }
+      value = value * 10 + digit;
       ++pos_;
     }
     if (pos_ == start) return false;
@@ -112,7 +117,11 @@ class Scanner {
   bool Int64(std::int64_t* out) {
     const bool negative = Literal("-");
     std::uint64_t magnitude = 0;
-    if (!UInt64(&magnitude)) return false;
+    if (!UInt64(&magnitude) ||
+        magnitude > static_cast<std::uint64_t>(
+                        std::numeric_limits<std::int64_t>::max())) {
+      return false;
+    }
     *out = negative ? -static_cast<std::int64_t>(magnitude)
                     : static_cast<std::int64_t>(magnitude);
     return true;
@@ -170,6 +179,11 @@ class Scanner {
   std::string_view text_;
   std::size_t pos_ = 0;
 };
+
+/// Upper bound on a parsed histogram's bin count. The largest in-tree
+/// binning has 300 bins; the bound only keeps a corrupt line from
+/// allocating gigabytes before it is rejected.
+constexpr std::uint64_t kMaxHistogramBins = std::uint64_t{1} << 16;
 
 bool Fail(std::string* error, std::string_view what) {
   if (error != nullptr) *error = std::string(what);
@@ -299,23 +313,28 @@ bool MergeSerializedRegistryLine(std::string_view line, MetricsRegistry* into,
         !scan.Literal(",\"counts\":[")) {
       return Fail(error, "registry line: malformed histogram");
     }
-    if (bins == 0 || !(config.lo < config.hi)) {
+    if (bins == 0 || bins > kMaxHistogramBins || !(config.lo < config.hi)) {
       return Fail(error, "registry line: invalid histogram binning");
     }
     config.bins = static_cast<std::size_t>(bins);
     std::vector<std::int64_t> counts(config.bins, 0);
     std::int64_t total = 0;
+    std::uint64_t next_bin = 0;  // the writer emits bins in strict order.
     if (!scan.Literal("]")) {
       for (;;) {
         std::uint64_t bin = 0;
         std::int64_t bin_count = 0;
         if (!scan.Literal("[") || !scan.UInt64(&bin) || !scan.Literal(",") ||
             !scan.Int64(&bin_count) || !scan.Literal("]") || bin >= bins ||
-            bin_count < 0) {
+            bin < next_bin || bin_count <= 0) {
           return Fail(error, "registry line: malformed histogram bin");
+        }
+        if (bin_count > std::numeric_limits<std::int64_t>::max() - total) {
+          return Fail(error, "registry line: histogram bin sum overflows");
         }
         counts[bin] = bin_count;
         total += bin_count;
+        next_bin = bin + 1;
         if (scan.Literal("]")) break;
         if (!scan.Literal(",")) {
           return Fail(error, "registry line: malformed histogram bins");
@@ -328,9 +347,16 @@ bool MergeSerializedRegistryLine(std::string_view line, MetricsRegistry* into,
     if (total != count) {
       return Fail(error, "registry line: histogram bin sum != count");
     }
-    into->GetHistogram(name, std::move(labels), config)
-        .Merge(stats::Histogram::FromParts(config, std::move(counts), count,
-                                           min, max));
+    // A series that does not exist yet is created with this binning, so
+    // only an existing series can refuse the merge, and then `into` stays
+    // unchanged.
+    if (!into->GetHistogram(name, std::move(labels), config)
+             .TryMerge(stats::Histogram::FromParts(config, std::move(counts),
+                                                   count, min, max))) {
+      return Fail(error,
+                  "registry line: histogram binning or count conflicts with "
+                  "the existing series");
+    }
     return true;
   }
   return Fail(error, "registry line: unknown kind '" + kind + "'");

@@ -9,13 +9,13 @@ namespace kwikr::obs {
 
 /// Lossless registry serialization for cross-process merge.
 ///
-/// PrometheusText / MetricsJsonl are human/export formats: they round
-/// doubles and flatten histogram sketches into quantile summaries, so a
-/// registry cannot be reconstructed from them. The shard runner needs the
-/// opposite — a worker process serializes its chunk-local registry into its
-/// spill file and the parent rebuilds and merges it exactly, so the merged
-/// export is byte-identical to what an in-process merge of the same
-/// registries would have produced.
+/// PrometheusText is a human/export format: it rounds doubles and flattens
+/// histogram sketches into quantile summaries, so a registry cannot be
+/// reconstructed from it. The shard runner needs the opposite — a worker
+/// process serializes its chunk-local registry into its spill file and the
+/// parent rebuilds and merges it exactly, so the merged export is
+/// byte-identical to what an in-process merge of the same registries would
+/// have produced.
 ///
 /// Format: canonical JSONL, one instrument per line in Snapshot order
 /// (sorted by (name, labels)). Doubles use %.17g, which round-trips every

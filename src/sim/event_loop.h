@@ -255,7 +255,6 @@ class EventLoop {
   // The sequence field is 32 bits wide; when it wraps (once per 2^32 - 1
   // schedules) RenumberSequences() reassigns dense sequence numbers to the
   // pending entries in FIFO order, preserving the total order exactly.
-#if defined(__SIZEOF_INT128__)
   struct HeapEntry {
     unsigned __int128 key;  // (time << 64) | (seq << 32) | slot.
     friend constexpr bool operator<(const HeapEntry& a, const HeapEntry& b) {
@@ -284,32 +283,6 @@ class EventLoop {
     return HeapEntry{(e.key & ~kSeqMask) |
                      (static_cast<std::uint64_t>(seq) << 32)};
   }
-#else
-  struct HeapEntry {
-    std::uint64_t at;
-    std::uint32_t seq;
-    std::uint32_t slot;
-    friend constexpr bool operator<(const HeapEntry& a, const HeapEntry& b) {
-      return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-    }
-    friend constexpr bool operator>=(const HeapEntry& a, const HeapEntry& b) {
-      return !(a < b);
-    }
-  };
-  static constexpr HeapEntry MakeEntry(Time at, std::uint32_t seq,
-                                       std::uint32_t slot) {
-    return HeapEntry{static_cast<std::uint64_t>(at), seq, slot};
-  }
-  static constexpr Time EntryTime(const HeapEntry& e) {
-    return static_cast<Time>(e.at);
-  }
-  static constexpr std::uint32_t EntrySlot(const HeapEntry& e) {
-    return e.slot;
-  }
-  static constexpr HeapEntry WithSeq(const HeapEntry& e, std::uint32_t seq) {
-    return HeapEntry{e.at, seq, e.slot};
-  }
-#endif
   static_assert(sizeof(HeapEntry) == 16,
                 "HeapEntry must stay 16 bytes: sift cost is dominated by "
                 "cache traffic, and a 4-ary node's children must fit one "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace kwikr::stats {
 
@@ -34,9 +35,14 @@ void Histogram::Add(double sample) {
   ++counts_[bin];
 }
 
+bool Histogram::Mergeable(const Histogram& other) const {
+  return config_.lo == other.config_.lo && config_.hi == other.config_.hi &&
+         config_.bins == other.config_.bins &&
+         other.count_ <= std::numeric_limits<std::int64_t>::max() - count_;
+}
+
 void Histogram::Merge(const Histogram& other) {
-  assert(config_.lo == other.config_.lo && config_.hi == other.config_.hi &&
-         config_.bins == other.config_.bins);
+  assert(Mergeable(other));
   if (other.count_ == 0) return;
   if (count_ == 0) {
     min_ = other.min_;

@@ -32,6 +32,11 @@ class Histogram {
   /// binning (lo/hi/bins); merging incompatible sketches is a logic error.
   void Merge(const Histogram& other);
 
+  /// True when Merge(other) is well-defined: the same binning, and a merged
+  /// count that fits in int64. Codecs check this before merging input read
+  /// from a file.
+  [[nodiscard]] bool Mergeable(const Histogram& other) const;
+
   /// Reconstructs a histogram from its serialized parts — the inverse of
   /// reading (config, counts, count, min, max) off an existing sketch. The
   /// cross-process spill/merge codecs depend on this to rebuild a worker's

@@ -10,8 +10,7 @@ Channel::Channel(sim::EventLoop& loop, sim::Rng rng, PhyParams phy)
     : loop_(loop),
       rng_(rng),
       phy_(phy),
-      edca_(phy.slot),
-      airtime_cache_(phy_) {}
+      edca_(phy.slot) {}
 
 OwnerId Channel::RegisterOwner(DeliveryHandler on_delivery) {
   owners_.push_back(Owner{on_delivery, 0});
@@ -102,9 +101,8 @@ bool Channel::MediumIdle() const { return !busy_; }
 
 void Channel::BeginIdlePeriod() {
   busy_ = false;
-  // One batched sweep restarts every backlogged countdown AND finds the
-  // earliest candidate (draw order and result are exactly those of the old
-  // per-contender restart-then-rescan code — see EdcaCore::BeginIdle).
+  // One sweep restarts every backlogged countdown AND finds the earliest
+  // candidate (see EdcaCore::BeginIdle).
   ArmArbitration(edca_.BeginIdle(loop_.now(), rng_));
 }
 
@@ -151,9 +149,9 @@ void Channel::StartTransmissions(sim::Time start) {
   // One core sweep does both halves of the arbitration outcome: contenders
   // whose candidate time is exactly `start` win the medium; every other
   // counting contender freezes its backoff with the idle slots consumed so
-  // far (a branchless column pass — see EdcaCore::Arbitrate). The
-  // winner/loser sets live in member scratch vectors: after warm-up this
-  // function performs no allocation at all (see bench/micro_channel).
+  // far (see EdcaCore::Arbitrate). The winner/loser sets live in member
+  // scratch vectors: after warm-up this function performs no allocation at
+  // all (see bench/micro_channel).
   std::vector<ContenderId>& winners = winners_scratch_;
   winners.clear();
   edca_.Arbitrate(start, winners);
@@ -192,7 +190,8 @@ void Channel::StartTransmissions(sim::Time start) {
     Contender& c = contenders_[id];
     assert(!c.queue.empty());
     const Frame& f = c.queue.front();
-    const sim::Duration airtime = FrameAirtimeCached(f);
+    const sim::Duration airtime =
+        phy_.FrameAirtime(f.packet.size_bytes, f.phy_rate_bps);
     c.txop_used = airtime;  // a fresh medium win opens a new TXOP.
     end = std::max(end, start + airtime);
   }
@@ -233,7 +232,8 @@ void Channel::FinishTransmissions(sim::Time end) {
       // queued frames go out back-to-back without re-contending.
       if (!c.queue.empty() && c.params.txop_limit > 0) {
         const Frame& next = c.queue.front();
-        const sim::Duration airtime = FrameAirtimeCached(next);
+        const sim::Duration airtime =
+            phy_.FrameAirtime(next.packet.size_bytes, next.phy_rate_bps);
         if (c.txop_used + airtime <= c.params.txop_limit) {
           c.txop_used += airtime;
           ++txop_continuations_;

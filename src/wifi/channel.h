@@ -12,7 +12,6 @@
 #include "sim/function_ref.h"
 #include "sim/rng.h"
 #include "sim/time.h"
-#include "wifi/airtime_cache.h"
 #include "wifi/edca.h"
 #include "wifi/edca_core.h"
 
@@ -80,15 +79,13 @@ using FrameErrorModel =
 /// Fast path: hooks are devirtualized FunctionRefs (one null check + one
 /// indirect call, no allocation), per-contender queues are sim::FrameRing
 /// (index arithmetic, no deque segment churn), and the contention math —
-/// countdown bases, backoff counters, the CW ladder — lives in wifi::EdcaCore
-/// as struct-of-arrays columns swept in batched, largely branchless passes
-/// with generation-stamped lazy backlog removal. Per-frame airtime goes
-/// through a small shared (rate, size) -> duration table
-/// (wifi::AirtimeCache), so the PHY airtime division runs once per frame
-/// SHAPE per run, not per contender transition. TXOP bursts ride ONE
-/// rearmable finish event (sim::EventLoop::RearmCurrentAt) and deliver each
-/// frame's owner hook inline at its exact finish tick instead of scheduling
-/// a per-frame delivery event. See DESIGN.md §11, §14 and §16.
+/// countdown bases, backoff counters, the CW ladder — lives in
+/// wifi::EdcaCore, one pass over the join-ordered backlog per arbitration
+/// question. Frame airtime is PhyParams::FrameAirtime, computed when a frame
+/// goes on the air. TXOP bursts ride ONE rearmable finish event
+/// (sim::EventLoop::RearmCurrentAt) and deliver each frame's owner hook
+/// inline at its exact finish tick instead of scheduling a per-frame
+/// delivery event. See DESIGN.md §11, §14 and §16.
 class Channel {
  public:
   /// Delivery callback: frame arrived intact at its destination. MacInfo in
@@ -150,7 +147,7 @@ class Channel {
 
   /// Queue length of a contender (frames waiting, excluding in-flight).
   [[nodiscard]] std::size_t QueueLength(ContenderId id) const;
-  /// Total frames ever enqueued minus delivered/dropped for this contender.
+  /// Frames this contender delivered (acknowledged on the air).
   [[nodiscard]] std::uint64_t Delivered(ContenderId id) const;
   [[nodiscard]] std::uint64_t QueueDrops(ContenderId id) const;
   [[nodiscard]] std::uint64_t RetryDrops(ContenderId id) const;
@@ -189,10 +186,6 @@ class Channel {
   };
 
   [[nodiscard]] bool MediumIdle() const;
-  /// Airtime of `f` through the shared shape cache.
-  [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f) {
-    return airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
-  }
   /// Invokes the staged owner hook, if a frame is staged, inside the
   /// current dispatch.
   void DrainStagedDelivery();
@@ -212,10 +205,7 @@ class Channel {
   sim::EventLoop& loop_;
   sim::Rng rng_;
   PhyParams phy_;
-  EdcaCore edca_;  ///< the batched SoA contention machine.
-  /// Shared (rate, size) -> airtime table; points at phy_, so it must be
-  /// declared after it.
-  AirtimeCache airtime_cache_;
+  EdcaCore edca_;  ///< the contention machine.
   FrameErrorModel error_model_;
   DeliveryFaultHook delivery_fault_hook_;
   DropHandler drop_handler_;

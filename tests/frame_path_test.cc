@@ -1,11 +1,11 @@
 // Frame-path primitives: kwikr::FunctionRef (the devirtualized hook type),
 // sim::FrameRing (the pooled frame queue), the event loop's same-tick
-// dispatch and rearm lanes, the batched SoA arbitration core differentially
-// tested against a retained scalar reference, the airtime shape cache,
-// burst delivery, and fleet-sharded runs that must be worker-count
-// invariant. Registered under the `frame_path` CTest label; scripts/check.sh
-// and CI also run this suite under ThreadSanitizer, where the sharded tests
-// exercise concurrent EventLoop + Channel instances.
+// dispatch and rearm lanes, the EDCA arbitration core differentially tested
+// against a scalar reference, burst delivery, and fleet-sharded runs that
+// must be worker-count invariant. Registered under the `frame_path` CTest
+// label; scripts/check.sh and CI also run this suite under
+// ThreadSanitizer, where the sharded tests exercise concurrent EventLoop +
+// Channel instances.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "sim/function_ref.h"
 #include "sim/rng.h"
 #include "sim/time.h"
-#include "wifi/airtime_cache.h"
 #include "wifi/channel.h"
 #include "wifi/edca.h"
 #include "wifi/edca_core.h"
@@ -245,8 +244,8 @@ TEST(SameTickLane, CancelledSameTickEventDoesNotRun) {
 
 /// Minimal closed-loop BSS: an AP with BE + VO downlinks and a station BE
 /// uplink, every delivery refilling its source queue. Drives the whole
-/// devirtualized frame path (FunctionRef hooks, FrameRing queues, cached
-/// EDCA timing, backlog stamps) from a single seed.
+/// devirtualized frame path (FunctionRef hooks, FrameRing queues, the EDCA
+/// core) from a single seed.
 class MiniBss {
  public:
   explicit MiniBss(std::uint64_t seed) : channel_(loop_, sim::Rng(seed)) {
@@ -305,12 +304,12 @@ class MiniBss {
 
 // ----------------------------------------- EdcaCore scalar differential ----
 
-/// The pre-batching arbitration logic, one contender at a time: individual
-/// per-contender structs, an insertion-ordered backlog list, and a hardware
-/// divide in the freeze path. Retained verbatim-in-spirit as the differential
-/// oracle for the batched wifi::EdcaCore — every observable (candidate times,
-/// winner sets in backlog order, RNG draw order, the cw/backoff/counting
-/// columns) must match draw for draw, or the golden corpus would drift.
+/// The arbitration logic as the 802.11 rules state it, one contender at a
+/// time: individual per-contender structs, an insertion-ordered backlog list,
+/// and a hardware divide in the freeze path. Kept as the differential oracle
+/// for wifi::EdcaCore — every observable (candidate times, winner sets in
+/// backlog order, RNG draw order, the cw/backoff/counting state) must match
+/// draw for draw, or the golden corpus would drift.
 class ScalarEdcaReference {
  public:
   explicit ScalarEdcaReference(sim::Duration slot) : slot_(slot) {}
@@ -335,9 +334,7 @@ class ScalarEdcaReference {
   }
 
   void Join(wifi::ContenderId id, sim::Time now, bool medium_idle) {
-    // Rejoining moves the contender to the back of the backlog walk — the
-    // batched core gets the same order by stamping the old entry stale and
-    // appending a fresh one.
+    // Rejoining moves the contender to the back of the backlog walk.
     Unlink(id);
     order_.push_back(id);
     Contender& c = contenders_[id];
@@ -445,8 +442,8 @@ class ScalarEdcaReference {
   std::vector<wifi::ContenderId> order_;  ///< backlog, insertion-ordered.
 };
 
-/// The 10^5-round randomized differential: the batched core against the
-/// per-contender reference, draw for draw and column for column.
+/// The 10^5-round randomized differential: the core against the
+/// per-contender reference, draw for draw and field for field.
 TEST(EdcaCoreDifferential, MatchesScalarReference) {
   constexpr int kContenders = 12;
   constexpr int kRounds = 100'000;
@@ -484,9 +481,8 @@ TEST(EdcaCoreDifferential, MatchesScalarReference) {
   int arbitrations = 0;
   for (int round = 0; round < kRounds; ++round) {
     // Membership churn while the medium is busy: joins, leaves, and the
-    // leave-then-rejoin-before-the-next-sweep pattern that stresses the
-    // batched core's stamp mechanism (the stale backlog entry must neither
-    // draw nor win, or the RNG streams shift).
+    // leave-then-rejoin-before-the-next-sweep pattern (the rejoiner must move
+    // to the back of the backlog, or the RNG streams shift).
     const auto churn = static_cast<int>(control.UniformInt(0, 3));
     for (int k = 0; k < churn; ++k) {
       const auto id = static_cast<wifi::ContenderId>(
@@ -560,7 +556,7 @@ TEST(EdcaCoreDifferential, MatchesScalarReference) {
       now = core_e + control.UniformInt(1, 3'000) * sim::Micros(1);
     }
 
-    // Full-state audit every round: the columns the channel reads back.
+    // Full-state audit every round: the state the channel reads back.
     for (wifi::ContenderId id = 0; id < kContenders; ++id) {
       ASSERT_EQ(core.cw(id), ref.cw(id)) << "round " << round << " id " << id;
       ASSERT_EQ(core.backoff(id), ref.backoff(id))
@@ -574,81 +570,6 @@ TEST(EdcaCoreDifferential, MatchesScalarReference) {
   // The workload must actually contend most rounds, or the test proves
   // nothing about arbitration.
   EXPECT_GT(arbitrations, kRounds / 2);
-}
-
-// ------------------------------------------------------- AirtimeCache ----
-
-TEST(AirtimeCache, MatchesDirectFrameAirtimeUnderRateChurn) {
-  const wifi::PhyParams phy;
-  wifi::AirtimeCache cache(phy);
-  // Rate-adaptation ladder walks: the ARF-style pattern of stepping one
-  // rung at a time, interleaved with random shape switches from a second
-  // traffic mix — the alternation that thrashed the old per-contender
-  // one-entry memo.
-  constexpr std::int64_t kLadder[] = {6'000'000,  9'000'000,  12'000'000,
-                                      18'000'000, 24'000'000, 36'000'000,
-                                      48'000'000, 54'000'000, 120'000'000};
-  constexpr int kRungs = static_cast<int>(std::size(kLadder));
-  // Payload sizes a real mix produces: probe echoes, voice, video, bulk —
-  // a handful of shapes, not a continuum (that is what makes a small shared
-  // table hold the entire working set).
-  constexpr std::int32_t kSizes[] = {84, 200, 600, 1200, 1460};
-  sim::Rng rng(0xA1271);
-  int rung = 4;
-  std::int32_t size_bytes = 1200;
-  for (int i = 0; i < 100'000; ++i) {
-    if (rng.Bernoulli(0.3)) {
-      rung = std::clamp(rung + (rng.Bernoulli(0.5) ? 1 : -1), 0, kRungs - 1);
-    }
-    if (rng.Bernoulli(0.1)) {
-      size_bytes = kSizes[rng.UniformInt(0, std::size(kSizes) - 1)];
-    }
-    const std::int64_t rate = kLadder[rung];
-    ASSERT_EQ(cache.Lookup(size_bytes, rate),
-              phy.FrameAirtime(size_bytes, rate))
-        << "i " << i << " size " << size_bytes << " rate " << rate;
-  }
-  // The working set is tiny, so the cache must be absorbing nearly all of
-  // the churn (this is the whole point of sharing the table).
-  EXPECT_GT(cache.hits(), cache.misses() * 10);
-}
-
-TEST(AirtimeCache, EvictionIsDeterministicAndValuesStayCorrect) {
-  const wifi::PhyParams phy;
-  // 4 slots + probe limit 4: any working set beyond 4 shapes must evict.
-  wifi::AirtimeCache a(phy, 4);
-  wifi::AirtimeCache b(phy, 4);
-  EXPECT_EQ(a.slots(), 4u);
-  sim::Rng rng(0xE71C7);
-  for (int i = 0; i < 20'000; ++i) {
-    const auto size = static_cast<std::int32_t>(rng.UniformInt(1, 64) * 20);
-    const std::int64_t rate = rng.UniformInt(1, 16) * 6'000'000;
-    const sim::Duration expect = phy.FrameAirtime(size, rate);
-    ASSERT_EQ(a.Lookup(size, rate), expect);
-    ASSERT_EQ(b.Lookup(size, rate), expect);
-  }
-  EXPECT_GT(a.evictions(), 0u);
-  // Identical key sequences must take identical hit/miss/eviction paths —
-  // the cache's COST sequence is deterministic, not just its values.
-  EXPECT_EQ(a.hits(), b.hits());
-  EXPECT_EQ(a.misses(), b.misses());
-  EXPECT_EQ(a.evictions(), b.evictions());
-}
-
-TEST(AirtimeCache, ValuesAreCapacityInvariant) {
-  const wifi::PhyParams phy;
-  wifi::AirtimeCache tiny(phy, 1);
-  wifi::AirtimeCache small(phy, 8);
-  wifi::AirtimeCache big(phy, 1024);
-  sim::Rng rng(0xCAFE5);
-  for (int i = 0; i < 5'000; ++i) {
-    const auto size = static_cast<std::int32_t>(rng.UniformInt(40, 1500));
-    const std::int64_t rate = rng.UniformInt(1, 20) * 6'000'000;
-    const sim::Duration expect = phy.FrameAirtime(size, rate);
-    ASSERT_EQ(tiny.Lookup(size, rate), expect);
-    ASSERT_EQ(small.Lookup(size, rate), expect);
-    ASSERT_EQ(big.Lookup(size, rate), expect);
-  }
 }
 
 // ------------------------------------------------- EventLoop rearm lane ----

@@ -314,34 +314,15 @@ TEST(ExportersTest, PrometheusTextWellFormed) {
 
 TEST(ExportersTest, EmptyRegistrySerializesEmpty) {
   // A never-touched registry must scrape as zero bytes (no stray TYPE
-  // headers) in both text formats, and an event-free Chrome trace must
-  // still be a complete, parseable JSON document.
+  // headers), and an event-free Chrome trace must still be a complete,
+  // parseable JSON document.
   obs::MetricsRegistry empty;
   EXPECT_EQ(obs::PrometheusText(empty), "");
-  EXPECT_EQ(obs::MetricsJsonl(empty), "");
 
   const obs::ChromeTraceWriter writer;
   EXPECT_EQ(writer.events(), 0u);
   const std::string json = writer.ToJson();
   EXPECT_TRUE(JsonParser(json).Parse()) << json;
-}
-
-TEST(ExportersTest, MetricsJsonlLinesParse) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("c", {{"weird", "a\"b\\c\td"}}).Add(1);
-  registry.GetHistogram("h").Observe(1.0);
-  const std::string jsonl = obs::MetricsJsonl(registry);
-  std::size_t begin = 0;
-  int lines = 0;
-  while (begin < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', begin);
-    ASSERT_NE(end, std::string::npos);
-    const std::string line = jsonl.substr(begin, end - begin);
-    EXPECT_TRUE(JsonParser(line).Parse()) << line;
-    begin = end + 1;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2);
 }
 
 TEST(ExportersTest, ChromeTraceJsonParsesWithCategories) {

@@ -88,7 +88,8 @@ class EdcaFairnessSweep : public ::testing::TestWithParam<int> {};
 TEST_P(EdcaFairnessSweep, SaturatedPeersShareTheMediumEvenly) {
   const int stations = GetParam();
   sim::EventLoop loop;
-  wifi::Channel channel(loop, sim::Rng{900 + stations});
+  wifi::Channel channel(loop,
+                        sim::Rng{static_cast<std::uint64_t>(900 + stations)});
   std::vector<std::uint64_t> delivered(stations, 0);
   const wifi::OwnerId sink = channel.RegisterOwner(nullptr);
 

@@ -959,7 +959,7 @@ TEST(Rng, StreamForkIsDeterministicAndConst) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.Next(), b.Next());
   Rng untouched(42);
   Rng fresh(42);
-  base.Fork(123);
+  static_cast<void>(base.Fork(123));  // the child is deliberately unused.
   EXPECT_EQ(untouched.Next(), fresh.Next());
 }
 
