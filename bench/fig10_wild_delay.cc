@@ -370,6 +370,12 @@ int main(int argc, char** argv) {
                 "cross-traffic.\nPaper: cross-traffic dominates; worst 5% of "
                 "calls see >= ~98 ms of cross-traffic delay.");
 
+  // The timeline sampler re-arms every interval; a zero interval would
+  // re-arm it at its own tick forever.
+  if (bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10) < 1) {
+    std::fprintf(stderr, "--timeline-interval-ms wants an integer >= 1\n");
+    return 2;
+  }
   if (const char* spill_dir =
           bench::ParseStringFlag(argc, argv, "--spill-dir")) {
     return RunSpillMode(argc, argv, spill_dir);

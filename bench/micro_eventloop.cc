@@ -170,7 +170,7 @@ double CancelChurnThroughput(int rounds, int batch) {
 /// observability tax measured by obs_test stays visible in the trajectory).
 class CountingProbe : public sim::EventLoopProbe {
  public:
-  void OnExecuted(const char*, sim::Time, double) override { ++count_; }
+  void OnExecuted(const char*, sim::Time) override { ++count_; }
   [[nodiscard]] std::uint64_t count() const { return count_; }
 
  private:
@@ -254,11 +254,13 @@ int main(int argc, char** argv) {
                 "Schedule/cancel/dispatch throughput of the allocation-free "
                 "scheduler.");
 
-  // 1024 concurrent chains keeps ~1k events pending, the population-scale
-  // regime the fleet runner operates in (fig10 wild sweeps run hundreds of
-  // calls, each with several in-flight timers and frames). Heap depth and
-  // cache footprint — not just per-op constants — shape the scheduler's
-  // cost, so the bench measures that regime.
+  // 1024 concurrent chains keeps ~1k events pending: a stress population
+  // about ten times what the simulation reaches. Each environment runs its
+  // own loop, and one pass of each benchmark workload at seed 1010 peaked at
+  // 105 / 89 / 66 pending timers on wild_fig10 / scenario_grid / fleet_1s
+  // (DESIGN.md §14). Heap depth and cache footprint — not just per-op
+  // constants — shape the scheduler's cost, so the bench measures the loop
+  // well above that range.
   const int chains = 1'024;
   const int hops = quick ? 125 : 1'000;
   const int churn_rounds = quick ? 400 : 4'000;

@@ -2,22 +2,14 @@
 
 namespace kwikr::obs {
 
-void EventLoopMetricsProbe::OnExecuted(const char* type, sim::Time /*at*/,
-                                       double wall_us) {
+void EventLoopMetricsProbe::OnExecuted(const char* type, sim::Time /*at*/) {
   auto it = by_type_.find(std::string_view(type));
   if (it == by_type_.end()) {
-    Cells cells;
-    cells.count = &registry_->GetCounter("sim_events_total", {{"type", type}});
-    stats::Histogram::Config wall_config;
-    wall_config.lo = 0.0;
-    wall_config.hi = 1000.0;  // microseconds; handlers are short.
-    wall_config.bins = 128;
-    cells.wall = &registry_->GetHistogram("sim_event_wall_us",
-                                          {{"type", type}}, wall_config);
-    it = by_type_.emplace(std::string(type), cells).first;
+    Counter* count =
+        &registry_->GetCounter("sim_events_total", {{"type", type}});
+    it = by_type_.emplace(std::string(type), count).first;
   }
-  it->second.count->Add();
-  it->second.wall->Observe(wall_us);
+  it->second->Add();
   ++total_;
 }
 

@@ -131,11 +131,9 @@ class ScopedSpan {
 };
 
 /// sim::EventLoopProbe that feeds a MetricsRegistry: per-event-type
-/// execution counters (`sim_events_total{type=...}`) and wall-time
-/// histograms (`sim_event_wall_us{type=...}`). Attach with
+/// execution counters (`sim_events_total{type=...}`). Attach with
 /// `loop.SetProbe(&probe)`; with no probe attached the loop's hot path is a
-/// single null check. Wall times are inherently nondeterministic — keep
-/// this probe out of registries that must be bit-identical across runs.
+/// single null check.
 ///
 /// Not thread-safe by itself (an EventLoop is single-threaded); use one
 /// probe per loop.
@@ -144,19 +142,14 @@ class EventLoopMetricsProbe : public sim::EventLoopProbe {
   explicit EventLoopMetricsProbe(MetricsRegistry& registry)
       : registry_(&registry) {}
 
-  void OnExecuted(const char* type, sim::Time at, double wall_us) override;
+  void OnExecuted(const char* type, sim::Time at) override;
 
   /// Total events observed (== loop.executed() delta while attached).
   [[nodiscard]] std::uint64_t total() const { return total_; }
 
  private:
-  struct Cells {
-    Counter* count = nullptr;
-    HistogramCell* wall = nullptr;
-  };
-
   MetricsRegistry* registry_;
-  std::map<std::string, Cells, std::less<>> by_type_;
+  std::map<std::string, Counter*, std::less<>> by_type_;
   std::uint64_t total_ = 0;
 };
 

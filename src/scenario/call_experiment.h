@@ -93,16 +93,16 @@ struct ExperimentConfig {
   //
   // `metrics` receives only deterministic series (counters of simulated
   // events, sim-time histograms, gauges of sim-derived values), so a merged
-  // registry is bit-identical across worker counts. `tracer` events and the
-  // `profile_loop` wall-time histograms are wall-clock-tainted and must stay
-  // out of registries that are compared across runs.
+  // registry is bit-identical across worker counts. `tracer` events are
+  // wall-clock-tainted and must stay out of registries that are compared
+  // across runs.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;  ///< bound to this experiment's loop.
   sim::Duration trace_sample_interval = sim::Millis(100);
   /// Extra labels stamped on every series (e.g. {{"env", "3"}}).
   obs::Labels metric_labels = {};
-  /// Attach an obs::EventLoopMetricsProbe (per-event-type counts + wall-us
-  /// histograms) to the loop. Requires `metrics`; nondeterministic.
+  /// Attach an obs::EventLoopMetricsProbe (per-event-type counts) to the
+  /// loop. Requires `metrics`.
   bool profile_loop = false;
 
   /// Sim-time timeline telemetry: a SeriesSampler over the experiment's

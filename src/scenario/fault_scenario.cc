@@ -208,7 +208,7 @@ bool ParseFaultScenario(std::string_view text, FaultScenario* out,
     } else if (key == "congestion_end_ms") {
       ok = ParseMillis(value, &e.congestion_end);
     } else if (key == "probe_interval_ms") {
-      ok = ParseMillis(value, &e.probe_interval);
+      ok = ParseMillis(value, &e.probe_interval) && e.probe_interval > 0;
     } else if (key == "dual") {
       ok = ParseBool(value, &e.dual_ping_pair);
     } else if (key == "kwikr") {

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
+#include <limits>
+#include <stdexcept>
 
 namespace kwikr::sim {
 
@@ -158,9 +159,7 @@ inline void EventLoop::Dispatch(std::uint32_t slot_index, Time at) {
   // always has; the slot cannot be recycled until it is released below.
   Slot& slot = SlotAt(slot_index);
   const Slot* next = nullptr;
-  if (!now_queue_.empty()) {
-    next = &SlotAt(now_queue_.front());
-  } else if (drain_head_ < drain_.size()) {
+  if (drain_head_ < drain_.size()) {
     next = &SlotAt(EntrySlot(drain_[drain_head_]));
   } else if (!heap_.empty()) {
     next = &SlotAt(EntrySlot(heap_.front()));
@@ -182,25 +181,12 @@ inline void EventLoop::Dispatch(std::uint32_t slot_index, Time at) {
   // rides the slot cache line already loaded above, so the extra branch is
   // one predicted-not-taken test on the common path.
   const bool rearmable = slot.rearmable;
-  if (probe_ == nullptr) {
-    if (rearmable) {
-      slot.fn();
-    } else {
-      slot.fn.InvokeAndDispose();
-    }
+  if (rearmable) {
+    slot.fn();
   } else {
-    const auto wall_begin = std::chrono::steady_clock::now();
-    if (rearmable) {
-      slot.fn();
-    } else {
-      slot.fn.InvokeAndDispose();
-    }
-    const double wall_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - wall_begin)
-            .count();
-    probe_->OnExecuted(slot.type, now_, wall_us);
+    slot.fn.InvokeAndDispose();
   }
+  if (probe_ != nullptr) probe_->OnExecuted(slot.type, now_);
   if (rearmable) {
     if (rearm_pending_) {
       // Reuse the slot in place: the generation is untouched (the original
@@ -211,14 +197,8 @@ inline void EventLoop::Dispatch(std::uint32_t slot_index, Time at) {
       slot.occupied = true;
       ++live_;
       if (rearm_type_ != nullptr) slot.type = rearm_type_;
-      if (rearm_seq_ != 0) {
-        InsertEntry(MakeEntry(std::max(rearm_at_, now_), rearm_seq_,
-                              slot_index));
-      } else if (rearm_at_ <= now_) {
-        now_queue_.push_back(std::uint32_t{slot_index});
-      } else {
-        InsertTimer(rearm_at_, slot_index);
-      }
+      const std::uint32_t seq = rearm_seq_ != 0 ? rearm_seq_ : NextSeq();
+      InsertEntry(MakeEntry(std::max(rearm_at_, now_), seq, slot_index));
       return;
     }
     slot.fn.Dispose();  // chain over: destroy separately (non-fused path).
@@ -280,16 +260,6 @@ void EventLoop::Compact() {
   }
   drain_.resize(drain_kept);
   drain_head_ = 0;
-  // Rotate the same-tick queue once, dropping tombstones; order preserved.
-  for (std::size_t i = now_queue_.size(); i-- > 0;) {
-    const std::uint32_t slot = now_queue_.front();
-    now_queue_.pop_front();
-    if (SlotAt(slot).cancelled) {
-      ReleaseSlot(slot);
-    } else {
-      now_queue_.push_back(std::uint32_t{slot});
-    }
-  }
   tombstones_ = 0;
 }
 
@@ -320,48 +290,27 @@ bool EventLoop::Cancel(EventId id) {
   return true;
 }
 
-bool EventLoop::PopAndRun() {
-  while (true) {
-    if (!now_queue_.empty()) {
-      // Timer entries AT (or, tombstoned, before) the current tick were
-      // scheduled before the clock reached it: they precede every
-      // same-tick-queue entry.
-      HeapEntry top;
-      bool from_drain = false;
-      if (PeekTimer(&top, &from_drain) && EntryTime(top) <= now_) {
-        const std::uint32_t slot_index = EntrySlot(top);
-        PopTimer(from_drain);
-        if (SlotAt(slot_index).cancelled) {
-          ReleaseSlot(slot_index);
-          --tombstones_;
-          continue;
-        }
-        Dispatch(slot_index, now_);
-        return true;
-      }
-      const std::uint32_t slot_index = now_queue_.front();
-      now_queue_.pop_front();
-      if (SlotAt(slot_index).cancelled) {
-        ReleaseSlot(slot_index);
-        --tombstones_;
-        continue;
-      }
-      Dispatch(slot_index, now_);
-      return true;
-    }
-    HeapEntry top;
-    bool from_drain = false;
-    if (!PeekTimer(&top, &from_drain)) return false;
+bool EventLoop::RunNext(Time deadline) {
+  // Cancelled heads are reaped before the deadline check, so a tombstone
+  // can neither satisfy nor fail it: only the earliest LIVE event decides.
+  // The wheel may drain/cascade past the deadline while peeking, which is
+  // harmless: drained entries stay pending in the sorted run.
+  HeapEntry top;
+  bool from_drain = false;
+  while (PeekTimer(&top, &from_drain)) {
     const std::uint32_t slot_index = EntrySlot(top);
-    PopTimer(from_drain);
     if (SlotAt(slot_index).cancelled) {
+      PopTimer(from_drain);
       ReleaseSlot(slot_index);
       --tombstones_;
       continue;
     }
+    if (EntryTime(top) > deadline) return false;
+    PopTimer(from_drain);
     Dispatch(slot_index, EntryTime(top));
     return true;
   }
+  return false;
 }
 
 void EventLoop::RenumberSequences() {
@@ -395,68 +344,28 @@ void EventLoop::RenumberSequences() {
 }
 
 void EventLoop::Run() {
-  while (PopAndRun()) {
+  while (RunNext(std::numeric_limits<Time>::max())) {
   }
 }
 
 void EventLoop::RunUntil(Time deadline) {
-  // Cancelled heads are reaped before the deadline check, so a tombstone
-  // can neither satisfy nor fail it — only the earliest LIVE event decides.
-  // Same-tick-queue events are at now_ <= deadline by construction, so they
-  // never need a deadline check; timer entries at the current tick still
-  // precede them (smaller sequence numbers — see the now_queue_ ordering
-  // proof). The wheel may drain/cascade past the deadline while peeking —
-  // harmless: drained entries stay pending in the sorted run.
-  while (true) {
-    if (!now_queue_.empty()) {
-      HeapEntry top;
-      bool from_drain = false;
-      if (PeekTimer(&top, &from_drain) && EntryTime(top) <= now_) {
-        const std::uint32_t slot_index = EntrySlot(top);
-        PopTimer(from_drain);
-        if (SlotAt(slot_index).cancelled) {
-          ReleaseSlot(slot_index);
-          --tombstones_;
-          continue;
-        }
-        Dispatch(slot_index, now_);
-        continue;
-      }
-      const std::uint32_t slot_index = now_queue_.front();
-      now_queue_.pop_front();
-      if (SlotAt(slot_index).cancelled) {
-        ReleaseSlot(slot_index);
-        --tombstones_;
-        continue;
-      }
-      Dispatch(slot_index, now_);
-      continue;
-    }
-    HeapEntry top;
-    bool from_drain = false;
-    if (!PeekTimer(&top, &from_drain)) break;
-    const std::uint32_t slot_index = EntrySlot(top);
-    if (SlotAt(slot_index).cancelled) {
-      PopTimer(from_drain);
-      ReleaseSlot(slot_index);
-      --tombstones_;
-      continue;
-    }
-    if (EntryTime(top) > deadline) break;
-    PopTimer(from_drain);
-    Dispatch(slot_index, EntryTime(top));
+  while (RunNext(deadline)) {
   }
   now_ = std::max(now_, deadline);
 }
 
 void EventLoop::RunFor(Duration duration) { RunUntil(now_ + duration); }
 
-bool EventLoop::Step() { return PopAndRun(); }
+bool EventLoop::Step() { return RunNext(std::numeric_limits<Time>::max()); }
 
 // -------------------------------------------------------- periodic timer ----
 
 PeriodicTimer::PeriodicTimer(EventLoop& loop, Duration period, InlineTask fn)
-    : loop_(loop), period_(period), fn_(std::move(fn)) {}
+    : loop_(loop), period_(period), fn_(std::move(fn)) {
+  if (period <= 0) {
+    throw std::invalid_argument("sim::PeriodicTimer: period must be positive");
+  }
+}
 
 PeriodicTimer::~PeriodicTimer() { Stop(); }
 

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/frame_ring.h"
 #include "sim/inline_task.h"
 #include "sim/time.h"
 
@@ -21,7 +20,7 @@ using EventId = std::uint64_t;
 /// Type tag given to events scheduled through the untyped overloads.
 inline constexpr const char kDefaultEventType[] = "event";
 
-/// A reserved position in the loop's same-tick order (EventLoop::TakeTicket).
+/// A reserved position in the loop's (time, seq) order (EventLoop::TakeTicket).
 /// `seq` 0 is never issued.
 struct Ticket {
   std::uint32_t seq = 0;
@@ -29,21 +28,23 @@ struct Ticket {
 
 /// Observer of event execution (the observability hook). Attach with
 /// EventLoop::SetProbe; with no probe attached the loop's dispatch path
-/// performs a single null check and no clock reads — zero-cost.
+/// performs a single null check.
 class EventLoopProbe {
  public:
   virtual ~EventLoopProbe() = default;
 
-  /// Called after each event ran: the event's static type tag, the
-  /// simulated time it ran at, and its wall-clock execution time in
-  /// microseconds.
-  virtual void OnExecuted(const char* type, Time at, double wall_us) = 0;
+  /// Called after each event ran: the event's static type tag and the
+  /// simulated time it ran at.
+  virtual void OnExecuted(const char* type, Time at) = 0;
 };
 
 /// Single-threaded discrete-event loop.
 ///
-/// Events at the same tick run in scheduling (FIFO) order, which keeps
-/// back-to-back operations like the Ping-Pair's two sends well-defined.
+/// Events run in (time, seq) order, where seq is the order they were
+/// scheduled in: events at the same tick run in scheduling (FIFO) order,
+/// which keeps back-to-back operations like the Ping-Pair's two sends
+/// well-defined. An event scheduled for the current tick is no exception; it
+/// takes the next sequence number and runs after every event already due.
 ///
 /// The dispatch path is allocation- and hash-free:
 ///  - Callables are built directly inside InlineTask slots (Schedule* is a
@@ -97,24 +98,7 @@ class EventLoop {
   /// (a literal); it tags the event for the EventLoopProbe.
   template <typename F, typename = EnableIfCallable<F>>
   EventId ScheduleAt(Time at, const char* type, F&& fn) {
-    const std::uint32_t slot_index = AcquireSlot();
-    Slot& slot = SlotAt(slot_index);
-    slot.fn.Emplace(std::forward<F>(fn));
-    slot.type = type;
-    if (at <= now_) {
-      // Same-tick fast lane: an event for the CURRENT tick never rides the
-      // heap. It would be the heap's worst case twice over — minimal time
-      // with maximal sequence sifts all the way up on push, and pops pay a
-      // full sift-down — when a plain FIFO already yields the exact
-      // dispatch order (see the now_queue_ comment for the proof sketch).
-      // Zero-delay hand-offs land here (wifi::Channel delivers unfaulted
-      // frames inline, without an event).
-      now_queue_.push_back(std::uint32_t{slot_index});
-    } else {
-      InsertTimer(at, slot_index);
-    }
-    ++live_;
-    return MakeId(slot_index, slot.generation);
+    return Add(at, NextSeq(), type, /*rearmable=*/false, std::forward<F>(fn));
   }
 
   template <typename F, typename = EnableIfCallable<F>>
@@ -139,15 +123,14 @@ class EventLoop {
   /// its firings.
   template <typename F, typename = EnableIfCallable<F>>
   EventId ScheduleRearmableAt(Time at, const char* type, F&& fn) {
-    const EventId id = ScheduleAt(at, type, std::forward<F>(fn));
-    SlotAt(static_cast<std::uint32_t>((id >> 32) - 1)).rearmable = true;
-    return id;
+    return Add(at, NextSeq(), type, /*rearmable=*/true, std::forward<F>(fn));
   }
 
   /// Re-arms the currently-executing rearmable event to fire again at `at`
-  /// (clamped to now(); a same-tick rearm joins the same-tick FIFO lane like
-  /// a fresh ScheduleAt). Must only be called from inside the callback of an
-  /// event scheduled with ScheduleRearmableAt, at most once per firing.
+  /// (clamped to now()). The firing takes its sequence number when the
+  /// callback returns, so it orders like a ScheduleAt made at that moment.
+  /// Must only be called from inside the callback of an event scheduled with
+  /// ScheduleRearmableAt, at most once per firing.
   /// `type`, when non-null, retags the event for the probe from the next
   /// firing on (e.g. "wifi.tx_done" chains retag to "wifi.txop_burst").
   void RearmCurrentAt(Time at, const char* type = nullptr) {
@@ -157,42 +140,30 @@ class EventLoop {
     rearm_type_ = type;
   }
 
-  /// Reserves the tie-break position a timer scheduled right now would get.
+  /// Reserves the tie-break position an event scheduled right now would get.
   /// An event armed later with the ticket (the Ticket overloads below) runs
   /// at its time in exactly the place among same-time events that an event
   /// scheduled at the moment of TakeTicket() would have taken: after every
-  /// timer scheduled before the ticket was taken, before every one scheduled
-  /// after it, and before the same-tick lane. That lets one long-lived event
-  /// stand in for a series of per-packet or per-ACK timers without moving a
-  /// single (time, seq) tie (net::WiredLink's delivery line, TcpSender's RTO
-  /// deadline; DESIGN.md §17). The equivalence holds for events due after the
-  /// tick the ticket was taken in: a plain event scheduled for the current
-  /// tick would have joined the same-tick lane instead.
+  /// event scheduled before the ticket was taken, before every one scheduled
+  /// after it. That lets one long-lived event stand in for a series of
+  /// per-packet or per-ACK timers without moving a single (time, seq) tie
+  /// (net::WiredLink's delivery line, TcpSender's RTO deadline; DESIGN.md
+  /// §17).
   ///
   /// A ticket costs one sequence number and nothing else; an unused one is
   /// simply dropped. It keeps its place until the 32-bit sequence counter
-  /// wraps (once per 2^32 - 1 timers; RenumberSequences cannot see tickets
+  /// wraps (once per 2^32 - 1 events; RenumberSequences cannot see tickets
   /// held outside the loop), after which it still fires at its time but ties
   /// after the renumbered events.
-  [[nodiscard]] Ticket TakeTicket() {
-    if (next_seq_ == kMaxSeq) RenumberSequences();
-    return Ticket{next_seq_++};
-  }
+  [[nodiscard]] Ticket TakeTicket() { return Ticket{NextSeq()}; }
 
   /// ScheduleRearmableAt with a reserved tie-break position (`at` is clamped
-  /// to now(); even then the event orders by its ticket among the timers of
-  /// the current tick, ahead of the same-tick lane).
+  /// to now(); even then the event orders by its ticket among the events of
+  /// the current tick).
   template <typename F, typename = EnableIfCallable<F>>
   EventId ScheduleRearmableAt(Time at, Ticket ticket, const char* type,
                               F&& fn) {
-    const std::uint32_t slot_index = AcquireSlot();
-    Slot& slot = SlotAt(slot_index);
-    slot.fn.Emplace(std::forward<F>(fn));
-    slot.type = type;
-    slot.rearmable = true;
-    InsertEntry(MakeEntry(std::max(at, now_), ticket.seq, slot_index));
-    ++live_;
-    return MakeId(slot_index, slot.generation);
+    return Add(at, ticket.seq, type, /*rearmable=*/true, std::forward<F>(fn));
   }
 
   /// RearmCurrentAt with a reserved tie-break position (see TakeTicket).
@@ -233,8 +204,7 @@ class EventLoop {
   /// Total events executed (for micro-benchmarks).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Cancelled-but-unreaped entries, heap and same-tick queue combined
-  /// (introspection for tests).
+  /// Cancelled-but-unreaped entries (introspection for tests).
   [[nodiscard]] std::size_t tombstones() const { return tombstones_; }
 
  private:
@@ -305,7 +275,7 @@ class EventLoop {
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
   /// Slots live in fixed 256-cell chunks so their addresses are stable:
-  /// PopAndRun invokes the callable IN the slot, and a callback that
+  /// Dispatch invokes the callable IN the slot, and a callback that
   /// schedules (growing the table) must not move the closure under its own
   /// feet.
   static constexpr std::uint32_t kChunkShift = 8;
@@ -315,7 +285,7 @@ class EventLoop {
   static constexpr std::size_t kCompactionMinEntries = 64;
   /// Below this many pending timers the wheel loses: with 1-4 entries the
   /// 4-ary heap's one-level sifts cost a few ns while every wheel pop pays
-  /// a drain refill (bitmap scan + bucket drain + sort). InsertTimer routes
+  /// a drain refill (bitmap scan + bucket drain + sort). InsertEntry routes
   /// sparse-regime timers to the heap; the split is invisible to dispatch
   /// order because PeekTimer always takes min(drain head, heap top) by the
   /// full (time, seq) key.
@@ -350,7 +320,7 @@ class EventLoop {
 
   void ReleaseSlot(std::uint32_t index) {
     Slot& slot = SlotAt(index);
-    // The callable is already gone on every release path: PopAndRun fuses
+    // The callable is already gone on every release path: Dispatch fuses
     // invoke+destroy, and Cancel disposes at cancel time.
     slot.occupied = false;
     slot.cancelled = false;
@@ -427,17 +397,31 @@ class EventLoop {
                 "an L1 bucket must span exactly kL0Buckets L0 ticks — the "
                 "cascade routes straight into the L0 ring");
 
-  /// Routes one pending timer (at > now_) with the next sequence number.
-  /// Hot: inlined into the ScheduleAt template.
-  void InsertTimer(Time at, std::uint32_t slot_index) {
+  /// Issues the next sequence number, renumbering the pending entries first
+  /// when the 32-bit counter is about to wrap.
+  std::uint32_t NextSeq() {
     if (next_seq_ == kMaxSeq) RenumberSequences();
-    InsertEntry(MakeEntry(at, next_seq_++, slot_index));
+    return next_seq_++;
+  }
+
+  /// Builds `fn` in a fresh slot and enqueues it at (max(at, now_), seq).
+  /// Hot: inlined into the Schedule* templates.
+  template <typename F>
+  EventId Add(Time at, std::uint32_t seq, const char* type, bool rearmable,
+              F&& fn) {
+    const std::uint32_t slot_index = AcquireSlot();
+    Slot& slot = SlotAt(slot_index);
+    slot.fn.Emplace(std::forward<F>(fn));
+    slot.type = type;
+    slot.rearmable = rearmable;
+    InsertEntry(MakeEntry(std::max(at, now_), seq, slot_index));
+    ++live_;
+    return MakeId(slot_index, slot.generation);
   }
 
   /// Routes one pending timer entry to the drain run, a wheel bucket, or the
-  /// overflow heap. The entry's time is >= now_; it equals now_ only for a
-  /// ticketed event armed for the current tick, which lands in the drain
-  /// run (or the heap) and pops in key order before the same-tick lane.
+  /// overflow heap. The entry's time is >= now_; an entry for the current
+  /// tick lands wherever its tick maps and pops in key order like any other.
   void InsertEntry(const HeapEntry entry) {
     const Time at = EntryTime(entry);
     if (TimerEntries() < kWheelMinPopulation) {
@@ -465,8 +449,8 @@ class EventLoop {
     if (tick <= scanned_tick_) {
       // Already-scanned tick: join the sorted drain run. The search starts
       // at drain_head_, so the popped prefix is undisturbed (every popped
-      // key has time <= now_ <= at; a ticketed entry for the current tick
-      // is placed among the keys that have not run yet).
+      // key has time <= now_ <= at; an entry for the current tick is placed
+      // among the keys that have not run yet).
       const auto it = std::upper_bound(drain_.begin() + drain_head_,
                                        drain_.end(), entry);
       drain_.insert(it, entry);
@@ -512,20 +496,24 @@ class EventLoop {
       PopRoot();
     }
   }
-  /// Pending timer entries outside now_queue_ (compaction heuristics).
+  /// Pending timer entries, live and tombstoned (compaction heuristics).
   [[nodiscard]] std::size_t TimerEntries() const {
     return heap_.size() + wheel_count_ + (drain_.size() - drain_head_);
   }
 
-  bool PopAndRun();
+  /// Runs the earliest live event if it is due at or before `deadline`,
+  /// reaping the cancelled entries ahead of it; returns false, with nothing
+  /// run, once no live event is due. The one dispatch loop: Run, RunUntil
+  /// and Step are short loops over it.
+  bool RunNext(Time deadline);
   /// Removes the heap root: back entry to the front, then one sift down.
   /// Precondition: the heap is non-empty.
   void PopRoot();
   /// Runs the already-popped live event in slot `slot_index` at time `at`:
   /// advances the clock, invokes the callable in place (fused
   /// invoke+destroy), fires the probe, releases the slot. Force-inlined
-  /// into the dispatch loops (all callers live in event_loop.cc): the
-  /// out-of-line call was measurable at ~19M dispatches per fig10 run.
+  /// into RunNext: the out-of-line call was measurable at ~19M dispatches
+  /// per fig10 run.
 #if defined(__GNUC__)
   __attribute__((always_inline))
 #endif
@@ -558,16 +546,6 @@ class EventLoop {
   std::uint64_t scanned_tick_ = 0;
   /// Entries (live + tombstoned) currently in l0_/l1_ buckets.
   std::size_t wheel_count_ = 0;
-  /// Same-tick fast lane: slots of events scheduled AT the current tick,
-  /// in scheduling order. Dispatch order stays exactly the (time, seq)
-  /// total order because (a) every heap entry whose time equals now_ was
-  /// pushed before the clock reached now_ — pushes at the current tick go
-  /// here instead — so it carries a smaller sequence than every queue
-  /// member and must run first, and (b) the queue itself preserves
-  /// scheduling order. The queue is always fully drained before the clock
-  /// can advance (its events are at now_, never later than any other
-  /// pending event).
-  FrameRing<std::uint32_t> now_queue_;
   /// RearmCurrentAt latch, consumed by Dispatch after a rearmable callback
   /// returns. Dispatch is not re-entrant (single-threaded loop, callbacks
   /// never run the loop recursively), so one latch suffices.
@@ -584,6 +562,9 @@ class EventLoop {
 
 /// Repeating timer built on EventLoop. Fires first after `period` (or a
 /// custom initial delay) and then every `period` until stopped or destroyed.
+/// The period must be positive: the constructor throws std::invalid_argument
+/// otherwise, since a timer re-armed at its own tick never lets the clock
+/// advance.
 ///
 /// Callback contract: by the time `fn` runs, the NEXT firing is already
 /// scheduled (rescheduling happens first so the cadence stays anchored even

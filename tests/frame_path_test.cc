@@ -1,8 +1,8 @@
 // Frame-path primitives: kwikr::FunctionRef (the devirtualized hook type),
-// sim::FrameRing (the pooled frame queue), the event loop's same-tick
-// dispatch and rearm lanes, the EDCA arbitration core differentially tested
-// against a scalar reference, burst delivery, and fleet-sharded runs that
-// must be worker-count invariant. Registered under the `frame_path` CTest
+// sim::FrameRing (the pooled frame queue), the event loop's same-tick order
+// and rearm path, the EDCA arbitration core differentially tested against a
+// scalar reference, burst delivery, and fleet-sharded runs that must be
+// worker-count invariant. Registered under the `frame_path` CTest
 // label; scripts/check.sh and CI also run this suite under
 // ThreadSanitizer, where the sharded tests exercise concurrent EventLoop +
 // Channel instances.
@@ -208,13 +208,12 @@ TEST(FrameRing, MoveTransferAndClear) {
   EXPECT_GT(assigned.allocated(), 0u);  // storage is pooled, not released.
 }
 
-// ------------------------------------------------- same-tick fast lane ----
+// ------------------------------------------------------ same-tick order ----
 
-TEST(SameTickLane, HeapEntriesAtCurrentTickPrecedeQueueEntries) {
-  // A, B, C are scheduled for t=100 before the clock gets there (heap);
-  // D, E are scheduled AT t=100 while A runs (same-tick queue). The heap
-  // entries carry smaller sequence numbers, so the order must be
-  // A B C D E — the ordering proof the fast lane relies on.
+TEST(SameTickOrder, EventsScheduledBeforeTheTickRunFirst) {
+  // A, B, C are scheduled for t=100 before the clock gets there; D, E are
+  // scheduled AT t=100 while A runs. Every event takes a sequence number
+  // when it is scheduled, so the order must be A B C D E.
   sim::EventLoop loop;
   std::string order;
   loop.ScheduleAt(100, "A", [&] {
@@ -228,7 +227,7 @@ TEST(SameTickLane, HeapEntriesAtCurrentTickPrecedeQueueEntries) {
   EXPECT_EQ(order, "ABCDE");
 }
 
-TEST(SameTickLane, CancelledSameTickEventDoesNotRun) {
+TEST(SameTickOrder, CancelledSameTickEventDoesNotRun) {
   sim::EventLoop loop;
   int ran = 0;
   loop.ScheduleAt(5, "outer", [&] {
@@ -611,8 +610,9 @@ TEST(EventLoopRearm, SameTickRearmRunsThisTick) {
   });
   loop.ScheduleAt(10, "test.b", [&] { order += 'b'; });
   loop.Run();
-  // First r-firing rearms at the SAME tick: the rearmed event joins the
-  // same-tick FIFO behind b, exactly like a fresh ScheduleAt(now) would.
+  // First r-firing rearms at the SAME tick: the rearmed event takes the next
+  // sequence number and runs behind b, exactly like a fresh ScheduleAt(now)
+  // would.
   EXPECT_EQ(order, "arbr");
   EXPECT_EQ(loop.now(), 10);
 }
@@ -645,7 +645,8 @@ TEST(EventLoopRearm, TicketedEventTiesInTheTicketsPlace) {
     loop.ScheduleAt(100, "test.c", [&] { order += 'c'; });
     // Armed at 50, long after its ticket was taken, the event still ties at
     // 100 where the ticket put it; its same-tick rearm with the later ticket
-    // runs after b, and both run ahead of the same-tick lane (s).
+    // runs after b, and both run ahead of s, scheduled at 100 after every
+    // ticket was taken.
     loop.ScheduleAt(50, "test.arm", [&] {
       loop.ScheduleRearmableAt(100, early, "test.t", [&] {
         order += 't';
@@ -703,7 +704,7 @@ class RecordingBss : public sim::EventLoopProbe {
     }
   }
 
-  void OnExecuted(const char* type, sim::Time, double) override {
+  void OnExecuted(const char* type, sim::Time) override {
     ++dispatched_;
     if (std::string_view(type) == "wifi.deliver") ++deliver_events_;
   }

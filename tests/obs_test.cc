@@ -432,10 +432,6 @@ TEST(EventLoopProbeTest, ExecutedAndProbeCountsAgree) {
   EXPECT_EQ(
       registry.GetCounter("sim_events_total", {{"type", "event"}}).value(),
       1u);
-
-  // Wall-time histograms exist alongside the counters.
-  const std::string text = obs::PrometheusText(registry);
-  EXPECT_NE(text.find("sim_event_wall_us"), std::string::npos);
 }
 
 TEST(EventLoopProbeTest, NoProbeMeansNoObservation) {

@@ -542,11 +542,13 @@ TEST(DualPingPairSim, FiltersRetransmissionSpikesOnWeakLink) {
 
 TEST(FaultScenarioDsl, RejectsOutOfRangeNumbers) {
   // Each row would otherwise overflow a sim::Duration, narrow an integer
-  // into a garbage value, or cast an out-of-range double.
+  // into a garbage value, cast an out-of-range double, or re-arm a timer at
+  // its own tick forever.
   const char* kRows[] = {
       "duration_ms=99999999999999",
       "congestion_start_ms=9223372036855",
       "probe_interval_ms=9223372036855",
+      "probe_interval_ms=0",
       "cross_stations=3000000000",
       "flows_per_station=2147483648",
       "fq_flows=5000000000",

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,6 +104,23 @@ TEST(EventLoop, PastEventsClampToNow) {
   });
   loop.Run();
   EXPECT_EQ(fired_at, Millis(10));
+}
+
+// A ticket taken after an event was scheduled for the current tick holds a
+// later place in the (time, seq) order than that event, so arming the ticket
+// for the same tick runs it second, exactly where an event scheduled at
+// TakeTicket() would have run.
+TEST(EventLoop, TicketTakenAfterSameTickEventRunsAfterIt) {
+  EventLoop loop;
+  std::string order;
+  loop.ScheduleAt(Millis(1), [&] {
+    loop.ScheduleAt(loop.now(), [&order] { order += 'E'; });
+    const Ticket ticket = loop.TakeTicket();
+    loop.ScheduleRearmableAt(loop.now(), ticket, "test.ticket",
+                             [&order] { order += 'X'; });
+  });
+  loop.Run();
+  EXPECT_EQ(order, "EX");
 }
 
 TEST(EventLoop, CascadeParksEntryAtFullWindowDistance) {
@@ -303,6 +322,19 @@ TEST(PeriodicTimer, StopFromInsideCallbackCancelsRescheduledFiring) {
   EXPECT_EQ(count, 1);
   EXPECT_FALSE(timer.running());
   EXPECT_EQ(loop.pending(), 0u);  // the rescheduled firing is gone, not live.
+}
+
+// A timer that re-arms at its own tick would keep the clock from ever
+// advancing (a negative period clamps to the same tick), so construction
+// rejects both.
+TEST(PeriodicTimer, RejectsNonPositivePeriod) {
+  EventLoop loop;
+  const auto make = [&loop](Duration period) {
+    PeriodicTimer timer(loop, period, [] {});
+  };
+  EXPECT_THROW(make(0), std::invalid_argument);
+  EXPECT_THROW(make(-Millis(1)), std::invalid_argument);
+  EXPECT_NO_THROW(make(1));
 }
 
 TEST(PeriodicTimer, RestartFromInsideCallbackKeepsFiring) {
@@ -780,46 +812,74 @@ TEST(EventLoop, WheelIdleResyncSurvivesFarFutureCancelChurn) {
   }
 }
 
-// 10^5 randomized schedule/cancel/step operations executed in lockstep on
-// the loop and an ordered-map oracle keyed by (time, schedule order) — the
-// total order the loop promises. The wheel, with its sparse-regime heap
-// fallback and its cascades, must agree on execution order, clock, cancel
-// results, and pending counts. Deltas mix the now-queue, L0, L1, and
-// overflow scales so the population migrates between every regime. (The
-// flat-scan ReferenceScheduler above is the same oracle, but its linear
-// steps are too slow at this population under the sanitizers.)
+// 10^5 randomized schedule/ticket/cancel/step operations executed in
+// lockstep on the loop and an ordered-map oracle keyed by (time, order) —
+// the total order the loop promises, where `order` counts schedules and
+// ticket takes together: a plain event takes its place when it is
+// scheduled, a ticketed one when its ticket was taken. The wheel, with its
+// sparse-regime heap fallback and its cascades, must agree on execution
+// order, clock, cancel results, and pending counts. Deltas mix the current
+// tick, L0, L1, and overflow scales so the population migrates between
+// every regime, and held tickets are armed for the current tick as well as
+// later ones. (The flat-scan ReferenceScheduler above is the same oracle,
+// but its linear steps are too slow at this population under the
+// sanitizers.)
 TEST(EventLoop, WheelDifferentialAgainstOrderedMapOracle) {
   EventLoop loop;
   std::map<std::pair<Time, int>, int> oracle;  // (time, order) -> tag
   Time oracle_now = 0;
   Rng rng(0x5EED'0002u);
   std::vector<int> log;
-  // The i-th schedule's loop id and oracle key; its tag is i.
+  // Loop id and oracle key of the i-th scheduled or armed event (tag i).
   std::vector<EventId> ids;
   std::vector<std::pair<Time, int>> keys;
+  // Tickets taken and not yet armed, with their order.
+  std::vector<std::pair<Ticket, int>> held;
+  int next_order = 0;
+  const auto draw_delta = [&rng]() -> Duration {
+    const auto scale = rng.UniformInt(0, 4);
+    return scale == 0   ? 0                               // current tick
+           : scale == 1 ? rng.UniformInt(0, 100)          // same tick-ish
+           : scale == 2 ? rng.UniformInt(0, Millis(2))    // L0 span
+           : scale == 3 ? rng.UniformInt(0, Millis(130))  // L1 span
+                        : rng.UniformInt(0, Seconds(1));  // overflow heap
+  };
+  const auto record = [&](EventId id, Time at, int order) {
+    ids.push_back(id);
+    keys.emplace_back(at, order);
+    oracle.emplace(keys.back(), static_cast<int>(ids.size()) - 1);
+  };
 
   for (int op = 0; op < 100'000; ++op) {
-    const auto roll = rng.UniformInt(0, 9);
-    if (roll < 5) {  // schedule (50%), mixed horizon scales
-      const auto scale = rng.UniformInt(0, 3);
-      const Duration delta =
-          scale == 0 ? rng.UniformInt(0, 100)              // same tick-ish
-          : scale == 1 ? rng.UniformInt(0, Millis(2))      // L0 span
-          : scale == 2 ? rng.UniformInt(0, Millis(130))    // L1 span
-                       : rng.UniformInt(0, Seconds(1));    // overflow heap
-      const Time at = loop.now() + delta;
+    const auto roll = rng.UniformInt(0, 11);
+    if (roll < 5) {  // schedule (5/12)
+      const Time at = loop.now() + draw_delta();
       const int tag = static_cast<int>(ids.size());
-      ids.push_back(loop.ScheduleAt(at, [tag, &log] { log.push_back(tag); }));
-      keys.emplace_back(at, tag);
-      oracle.emplace(keys.back(), tag);
-    } else if (roll < 8) {  // cancel a random past id, maybe stale (30%)
+      record(loop.ScheduleAt(at, [tag, &log] { log.push_back(tag); }), at,
+             next_order++);
+    } else if (roll == 10) {  // take a ticket (1/12)
+      held.emplace_back(loop.TakeTicket(), next_order++);
+    } else if (roll == 11) {  // arm a random held ticket (1/12)
+      if (!held.empty()) {
+        const auto pick = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int>(held.size()) - 1));
+        const auto [ticket, order] = held[pick];
+        held[pick] = held.back();
+        held.pop_back();
+        const Time at = loop.now() + draw_delta();
+        const int tag = static_cast<int>(ids.size());
+        record(loop.ScheduleRearmableAt(at, ticket, "test.ticket",
+                                        [tag, &log] { log.push_back(tag); }),
+               at, order);
+      }
+    } else if (roll < 8) {  // cancel a random past id, maybe stale (3/12)
       if (!ids.empty()) {
         const auto pick = static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<int>(ids.size()) - 1));
         ASSERT_EQ(loop.Cancel(ids[pick]), oracle.erase(keys[pick]) == 1)
             << "op " << op;
       }
-    } else {  // step one event (20%)
+    } else {  // step one event (2/12)
       const std::size_t ran_before = log.size();
       const bool ran = loop.Step();
       ASSERT_EQ(ran, !oracle.empty()) << "op " << op;

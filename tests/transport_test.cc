@@ -371,7 +371,7 @@ TEST(TcpReno, StopWithAPendingRtoLeavesNothingRunnable) {
 /// Counts "tcp.rto" dispatches.
 class RtoCounter : public sim::EventLoopProbe {
  public:
-  void OnExecuted(const char* type, sim::Time, double) override {
+  void OnExecuted(const char* type, sim::Time) override {
     if (std::string_view(type) == "tcp.rto") ++rto_events;
   }
   std::uint64_t rto_events = 0;
