@@ -124,25 +124,14 @@ inline void ExportMetrics(int argc, char** argv,
   }
 }
 
-/// Chrome-trace export directory from KWIKR_TRACE_DIR, or nullptr when the
-/// variable is unset/empty. Benches that support tracing attach an
-/// obs::ChromeTraceWriter to one example call and write
-/// <dir>/<experiment>_trace.json.
-inline const char* TraceDir() {
+/// Chrome-trace path <KWIKR_TRACE_DIR>/<experiment>_trace.json, or empty
+/// when the variable is unset/empty. Benches that support tracing set it as
+/// one example call's `timeline.chrome_trace`.
+inline std::string TracePath() {
   const char* dir = std::getenv("KWIKR_TRACE_DIR");
-  return (dir != nullptr && *dir != '\0') ? dir : nullptr;
-}
-
-/// Writes a Chrome trace to <KWIKR_TRACE_DIR>/<experiment>_trace.json.
-inline void ExportTrace(const obs::ChromeTraceWriter& writer) {
-  const char* dir = TraceDir();
-  if (dir == nullptr) return;
-  char path[512];
-  std::snprintf(path, sizeof(path), "%s/%s_trace.json", dir,
-                internal::Slug(internal::CurrentExperiment()).c_str());
-  if (writer.WriteJson(path)) {
-    std::printf("trace: wrote %zu events to %s\n", writer.events(), path);
-  }
+  if (dir == nullptr || *dir == '\0') return {};
+  return std::string(dir) + "/" +
+         internal::Slug(internal::CurrentExperiment()) + "_trace.json";
 }
 
 /// Wall-clock stopwatch for the fleet timing records.

@@ -515,20 +515,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  // KWIKR_TRACE_DIR: Chrome-trace one example call (the Kwikr arm of the
-  // first environment's configuration) rather than the whole population.
-  if (bench::TraceDir() != nullptr) {
-    obs::ChromeTraceWriter writer;
-    obs::Tracer tracer;
-    tracer.SetSink(&writer);
+  // KWIKR_TRACE_DIR: Chrome-trace one example call rather than the whole
+  // population: a 30 s Kwikr call on the default testbed, whose two
+  // cross-traffic stations congest the AP from 10 s to 20 s, sampled every
+  // 100 ms with the flight recorder attached.
+  const std::string trace_path = bench::TracePath();
+  if (!trace_path.empty()) {
     scenario::ExperimentConfig example;
     example.seed = config.base_seed;
     example.duration = sim::Seconds(30);
-    example.sample_queue = true;
+    example.congestion_start = sim::Seconds(10);
+    example.congestion_end = sim::Seconds(20);
     example.calls[0].kwikr = true;
-    example.tracer = &tracer;
+    example.timeline.enabled = true;
+    example.timeline.interval = sim::Millis(100);
+    example.timeline.chrome_trace = trace_path;
     scenario::RunCallExperiment(example);
-    bench::ExportTrace(writer);
+    std::printf("trace: example call -> %s\n", trace_path.c_str());
   }
   return 0;
 }

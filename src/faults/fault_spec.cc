@@ -24,6 +24,10 @@ std::string_view Trim(std::string_view s) {
 constexpr double kMaxMillis =
     static_cast<double>(std::numeric_limits<std::int64_t>::max() / 1'000'000);
 
+/// Floor on a Gilbert–Elliott mean dwell (the GilbertElliott constructor's
+/// own floor): below it the chain flips state per nanosecond of sim time.
+constexpr double kMinGeMeanMillis = 1.0;
+
 /// A finite decimal number (strtod's nan/inf spellings are rejected).
 bool ParseDouble(std::string_view value, double* out) {
   const std::string copy(value);
@@ -147,9 +151,11 @@ bool ParseFaultSpec(std::string_view text, FaultSpec* spec,
     if (key == "ge.enable") {
       ok = ParseBool(value, &spec->ge.enable);
     } else if (key == "ge.mean_good_ms") {
-      ok = ParseMillis(value, &spec->ge.mean_good_ms);
+      ok = ParseMillis(value, &spec->ge.mean_good_ms) &&
+           spec->ge.mean_good_ms >= kMinGeMeanMillis;
     } else if (key == "ge.mean_bad_ms") {
-      ok = ParseMillis(value, &spec->ge.mean_bad_ms);
+      ok = ParseMillis(value, &spec->ge.mean_bad_ms) &&
+           spec->ge.mean_bad_ms >= kMinGeMeanMillis;
     } else if (key == "ge.loss_good") {
       ok = ParseProbability(value, &spec->ge.loss_good);
     } else if (key == "ge.loss_bad") {

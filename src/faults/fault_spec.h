@@ -73,8 +73,8 @@ struct FaultScheduleEntry {
 struct FaultSpec {
   struct GilbertElliottSpec {
     bool enable = false;
-    double mean_good_ms = 400.0;  ///< mean dwell in the Good state.
-    double mean_bad_ms = 40.0;    ///< mean dwell in the Bad (burst) state.
+    double mean_good_ms = 400.0;  ///< mean dwell in the Good state (>= 1).
+    double mean_bad_ms = 40.0;    ///< mean dwell in the Bad state (>= 1).
     double loss_good = 0.0;       ///< per-attempt loss prob, Good state.
     double loss_bad = 0.7;        ///< per-attempt loss prob, Bad state.
   };

@@ -27,6 +27,8 @@ class GilbertElliott {
     double loss_bad = 0.7;
   };
 
+  /// Throws std::invalid_argument when either mean dwell is below 1 ms:
+  /// shorter means flip the state millions of times per simulated second.
   GilbertElliott(Config config, sim::Rng rng);
 
   /// Per-attempt loss probability governing a transmission at `now`,

@@ -60,25 +60,8 @@ bool DecodeCheckpointManifest(std::string_view text,
   constexpr std::string_view kHeader = "{\"version\":1,\"fingerprint\":\"";
   if (text.substr(0, kHeader.size()) != kHeader) return false;
   std::size_t pos = kHeader.size();
-  // Unescape the fingerprint (the only free-form string in the manifest).
-  std::string fingerprint;
-  while (pos < text.size() && text[pos] != '"') {
-    char c = text[pos++];
-    if (c == '\\') {
-      if (pos >= text.size()) return false;
-      c = text[pos++];
-      switch (c) {
-        case '"': c = '"'; break;
-        case '\\': c = '\\'; break;
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        default: return false;  // fingerprints are plain ASCII key=value.
-      }
-    }
-    fingerprint.push_back(c);
-  }
-  if (pos >= text.size()) return false;
-  ++pos;  // closing quote.
+  CheckpointManifest parsed;
+  if (!obs::JsonUnescape(text, &pos, &parsed.fingerprint)) return false;
 
   struct Field {
     std::string_view key;
@@ -93,21 +76,28 @@ bool DecodeCheckpointManifest(std::string_view text,
   for (Field& field : fields) {
     if (!ParseU64Field(text, &pos, field.key, &field.value)) return false;
   }
-  if (text.substr(pos) != "}\n" && text.substr(pos) != "}") return false;
 
-  manifest->version = 1;
-  manifest->fingerprint = std::move(fingerprint);
-  manifest->shard = static_cast<int>(fields[0].value);
-  manifest->shard_count = static_cast<int>(fields[1].value);
-  manifest->worker = static_cast<int>(fields[2].value);
-  manifest->processes = static_cast<int>(fields[3].value);
-  manifest->range_begin = fields[4].value;
-  manifest->range_end = fields[5].value;
-  manifest->completed = fields[6].value;
-  manifest->results_bytes = fields[7].value;
-  manifest->metrics_bytes = fields[8].value;
-  manifest->timeline_bytes = fields[9].value;
-  manifest->peak_rss_kb = fields[10].value;
+  parsed.shard = static_cast<int>(fields[0].value);
+  parsed.shard_count = static_cast<int>(fields[1].value);
+  parsed.worker = static_cast<int>(fields[2].value);
+  parsed.processes = static_cast<int>(fields[3].value);
+  parsed.range_begin = fields[4].value;
+  parsed.range_end = fields[5].value;
+  parsed.completed = fields[6].value;
+  parsed.results_bytes = fields[7].value;
+  parsed.metrics_bytes = fields[8].value;
+  parsed.timeline_bytes = fields[9].value;
+  parsed.peak_rss_kb = fields[10].value;
+  // The field parsers are lenient (integers may wrap, narrow or carry
+  // leading zeros; trailing bytes are not looked at): the manifest is
+  // canonical only if encoding what was parsed reproduces it byte for byte,
+  // with or without the trailing newline.
+  const std::string canonical = EncodeCheckpointManifest(parsed);
+  if (text != canonical &&
+      text != std::string_view(canonical).substr(0, canonical.size() - 1)) {
+    return false;
+  }
+  *manifest = std::move(parsed);
   return true;
 }
 

@@ -134,6 +134,54 @@ std::string JsonEscape(std::string_view text) {
   return out;
 }
 
+bool JsonUnescape(std::string_view text, std::size_t* pos, std::string* out) {
+  out->clear();
+  while (*pos < text.size()) {
+    char c = text[(*pos)++];
+    if (c == '"') return true;
+    if (c != '\\') {
+      out->push_back(c);
+      continue;
+    }
+    if (*pos >= text.size()) return false;
+    c = text[(*pos)++];
+    switch (c) {
+      case '"': out->push_back('"'); break;
+      case '\\': out->push_back('\\'); break;
+      case '/': out->push_back('/'); break;
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        if (*pos + 4 > text.size()) return false;
+        unsigned value = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text[(*pos)++];
+          value <<= 4;
+          if (h >= '0' && h <= '9') {
+            value |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            value |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            value |= static_cast<unsigned>(h - 'A' + 10);
+          } else {
+            return false;
+          }
+        }
+        // JsonEscape only emits \u00XX (control bytes); reject the rest
+        // rather than mis-decode multi-byte code points.
+        if (value > 0xFF) return false;
+        out->push_back(static_cast<char>(value));
+        break;
+      }
+      default: return false;
+    }
+  }
+  return false;  // unterminated.
+}
+
 std::string PrometheusText(const MetricsRegistry& registry) {
   const auto rows = registry.Snapshot();
   std::string out;
@@ -183,10 +231,6 @@ bool WritePrometheus(const MetricsRegistry& registry,
   return WriteFile(PrometheusText(registry), path, "prometheus");
 }
 
-void ChromeTraceWriter::Append(TraceEvent event) {
-  events_.push_back(std::move(event));
-}
-
 void ChromeTraceWriter::OnSpan(const char* name, const char* category,
                                sim::Time begin, sim::Duration duration,
                                double wall_us, const SpanArgs& args) {
@@ -198,7 +242,7 @@ void ChromeTraceWriter::OnSpan(const char* name, const char* category,
   event.dur_us = sim::ToMicros(duration);
   event.wall_us = wall_us;
   event.args.assign(args.begin(), args.end());
-  Append(std::move(event));
+  events_.push_back(std::move(event));
 }
 
 void ChromeTraceWriter::OnInstant(const char* name, const char* category,
@@ -209,7 +253,7 @@ void ChromeTraceWriter::OnInstant(const char* name, const char* category,
   event.category = category;
   event.ts_us = sim::ToMicros(at);
   event.args.assign(args.begin(), args.end());
-  Append(std::move(event));
+  events_.push_back(std::move(event));
 }
 
 void ChromeTraceWriter::OnCounter(const char* name, const char* category,
@@ -220,7 +264,7 @@ void ChromeTraceWriter::OnCounter(const char* name, const char* category,
   event.category = category;
   event.ts_us = sim::ToMicros(at);
   event.args.assign(values.begin(), values.end());
-  Append(std::move(event));
+  events_.push_back(std::move(event));
 }
 
 std::string ChromeTraceWriter::ToJson() const {

@@ -2,16 +2,28 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "sim/time.h"
 
 namespace kwikr::obs {
+
+/// Numeric arguments attached to a trace event. Keys must be string
+/// literals (or otherwise outlive the emitting call) — the writer copies
+/// what it keeps.
+using SpanArgs = std::vector<std::pair<const char*, double>>;
 
 /// Escapes a string for embedding inside a JSON string literal: quotes,
 /// backslashes, and control characters (\uXXXX for the unprintables).
 std::string JsonEscape(std::string_view text);
+
+/// Decodes the JSON string literal whose body starts at `*pos` (just past
+/// the opening quote) into `out` and leaves `*pos` past the closing quote.
+/// Accepts every escape JsonEscape emits plus `\/`; returns false on an
+/// unterminated literal, an unknown escape or a `\u` code point above 0xFF.
+bool JsonUnescape(std::string_view text, std::size_t* pos, std::string* out);
 
 /// Serializes a registry snapshot in the Prometheus text exposition format
 /// (version 0.0.4). Counters and gauges map directly; histogram cells are
@@ -24,19 +36,22 @@ std::string PrometheusText(const MetricsRegistry& registry);
 /// on stderr) when the file can't be opened.
 bool WritePrometheus(const MetricsRegistry& registry, const std::string& path);
 
-/// TraceSink producing Chrome trace_event JSON, loadable in
-/// chrome://tracing or Perfetto. Simulated time maps to the trace `ts`
-/// microsecond axis; wall-clock span durations are preserved under
+/// Chrome trace_event JSON, loadable in chrome://tracing or Perfetto. The
+/// `at`/`begin` arguments map to the trace `ts` microsecond axis (simulated
+/// time for the timeline exports); a span's `wall_us` is kept under
 /// `args.wall_us`.
-class ChromeTraceWriter : public TraceSink {
+class ChromeTraceWriter {
  public:
+  /// A completed span ('X'): `wall_us` < 0 means not measured.
   void OnSpan(const char* name, const char* category, sim::Time begin,
-              sim::Duration duration, double wall_us,
-              const SpanArgs& args) override;
+              sim::Duration duration, double wall_us, const SpanArgs& args);
+  /// A point event ('i').
   void OnInstant(const char* name, const char* category, sim::Time at,
-                 const SpanArgs& args) override;
+                 const SpanArgs& args);
+  /// A counter sample ('C'): a set of named values at one instant, drawn
+  /// as a stacked time series.
   void OnCounter(const char* name, const char* category, sim::Time at,
-                 const SpanArgs& values) override;
+                 const SpanArgs& values);
 
   [[nodiscard]] std::size_t events() const { return events_.size(); }
 
@@ -56,8 +71,6 @@ class ChromeTraceWriter : public TraceSink {
     double wall_us = -1.0; ///< < 0 = not measured.
     std::vector<std::pair<std::string, double>> args;
   };
-
-  void Append(TraceEvent event);
 
   std::vector<TraceEvent> events_;
 };

@@ -74,4 +74,12 @@ std::string FlightRecorder::ToJsonl() const {
   return out;
 }
 
+void FlightRecorder::EmitInstants(ChromeTraceWriter& writer) const {
+  for (const FlightEvent& e : Snapshot()) {
+    writer.OnInstant(Name(e.kind), "flight", e.at,
+                     {{"tag", static_cast<double>(e.tag)},
+                      {"value", static_cast<double>(e.value)}});
+  }
+}
+
 }  // namespace kwikr::obs

@@ -10,6 +10,8 @@
 
 namespace kwikr::obs {
 
+class ChromeTraceWriter;
+
 /// What happened, for the bounded "recent history" ring a postmortem dumps.
 /// Keep this enum stable and append-only — kind names are serialized into
 /// postmortem files the fleet tooling diffs.
@@ -48,7 +50,7 @@ struct FlightEvent {
 /// Cost model: components hold a `FlightRecorder*` that is null by default,
 /// so a detached hook site is a single null check — 0 allocations, no time
 /// read, nothing. An attached Record() is a struct store into the
-/// preallocated ring (0 allocations per event; the obs test proves it with
+/// preallocated ring (0 allocations per event; timeline_test proves it with
 /// the operator-new counter, and micro_channel's alloc gate keeps the frame
 /// path honest).
 class FlightRecorder {
@@ -89,6 +91,11 @@ class FlightRecorder {
   /// Canonical JSONL, one `{"type":"flight",...}` object per retained
   /// event, oldest first. Deterministic: every field is sim-derived.
   [[nodiscard]] std::string ToJsonl() const;
+
+  /// Chrome-trace export: one instant event ('i', category "flight") per
+  /// retained event, oldest first, named by Name(kind) with `tag` and
+  /// `value` args.
+  void EmitInstants(ChromeTraceWriter& writer) const;
 
   /// Observer invoked synchronously on every recorded event (after the ring
   /// store). Used by PostmortemMonitor's storm detector; must not allocate

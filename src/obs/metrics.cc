@@ -145,4 +145,15 @@ std::size_t MetricsRegistry::size() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
+void EventLoopMetricsProbe::OnExecuted(const char* type, sim::Time /*at*/) {
+  auto it = by_type_.find(std::string_view(type));
+  if (it == by_type_.end()) {
+    Counter* count =
+        &registry_->GetCounter("sim_events_total", {{"type", type}});
+    it = by_type_.emplace(std::string(type), count).first;
+  }
+  it->second->Add();
+  ++total_;
+}
+
 }  // namespace kwikr::obs

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/event_loop.h"
 #include "stats/histogram.h"
 
 namespace kwikr::obs {
@@ -142,6 +143,29 @@ class MetricsRegistry {
   std::map<SeriesKey, std::unique_ptr<Counter>> counters_;
   std::map<SeriesKey, std::unique_ptr<Gauge>> gauges_;
   std::map<SeriesKey, std::unique_ptr<HistogramCell>> histograms_;
+};
+
+/// sim::EventLoopProbe that feeds a MetricsRegistry: per-event-type
+/// execution counters (`sim_events_total{type=...}`). Attach with
+/// `loop.SetProbe(&probe)`; with no probe attached the loop's hot path is a
+/// single null check.
+///
+/// Not thread-safe by itself (an EventLoop is single-threaded); use one
+/// probe per loop.
+class EventLoopMetricsProbe : public sim::EventLoopProbe {
+ public:
+  explicit EventLoopMetricsProbe(MetricsRegistry& registry)
+      : registry_(&registry) {}
+
+  void OnExecuted(const char* type, sim::Time at) override;
+
+  /// Total events observed (== loop.executed() delta while attached).
+  [[nodiscard]] std::uint64_t total() const { return total_; }
+
+ private:
+  MetricsRegistry* registry_;
+  std::map<std::string, Counter*, std::less<>> by_type_;
+  std::uint64_t total_ = 0;
 };
 
 }  // namespace kwikr::obs

@@ -50,52 +50,7 @@ class Scanner {
   }
 
   bool String(std::string* out) {
-    out->clear();
-    if (!Literal("\"")) return false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      c = text_[pos_++];
-      switch (c) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          // JsonEscape only emits \u00XX (control bytes); reject the rest
-          // rather than mis-decode multi-byte code points.
-          if (value > 0xFF) return false;
-          out->push_back(static_cast<char>(value));
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
+    return Literal("\"") && JsonUnescape(text_, &pos_, out);
   }
 
   bool UInt64(std::uint64_t* out) {

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <utility>
 
+#include "obs/exporters.h"
+
 namespace kwikr::obs {
 namespace {
 
@@ -116,14 +118,13 @@ std::string SeriesSampler::ToJsonl(std::int64_t call_index) const {
   return out;
 }
 
-void SeriesSampler::EmitCounters(TraceSink& sink,
-                                 const char* category) const {
+void SeriesSampler::EmitCounters(ChromeTraceWriter& writer) const {
   const sim::Duration step = stride();
   for (const Probe& probe : probes_) {
     for (std::size_t i = 0; i < probe.values.size(); ++i) {
-      sink.OnCounter(probe.name.c_str(), category,
-                     static_cast<sim::Time>(i) * step,
-                     {{"value", probe.values[i]}});
+      writer.OnCounter(probe.name.c_str(), "timeline",
+                       static_cast<sim::Time>(i) * step,
+                       {{"value", probe.values[i]}});
     }
   }
 }

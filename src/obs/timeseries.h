@@ -8,11 +8,12 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
-#include "obs/span.h"
 #include "sim/event_loop.h"
 #include "sim/time.h"
 
 namespace kwikr::obs {
+
+class ChromeTraceWriter;
 
 /// Deterministic sim-time series sampler: a periodic EventLoop timer
 /// snapshots every registered probe into per-probe ring buffers with a
@@ -72,9 +73,10 @@ class SeriesSampler {
   /// from a population run stay attributable after concatenation.
   [[nodiscard]] std::string ToJsonl(std::int64_t call_index = -1) const;
 
-  /// Second exporter: replays every retained sample as Chrome-trace
-  /// counter events ('C' phase) into `sink`, one counter track per probe.
-  void EmitCounters(TraceSink& sink, const char* category = "timeline") const;
+  /// Second exporter: writes every retained sample as a Chrome-trace
+  /// counter event ('C' phase, category "timeline"), one counter track per
+  /// probe.
+  void EmitCounters(ChromeTraceWriter& writer) const;
 
  private:
   void Tick();

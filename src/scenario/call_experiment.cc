@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "faults/injector.h"
+#include "obs/exporters.h"
 #include "stats/summary.h"
 
 namespace kwikr::scenario {
@@ -56,11 +57,6 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   Testbed testbed(tb_config);
 
   obs::MetricsRegistry* metrics = config.metrics;
-  obs::Tracer inert_tracer;  // stands in when the caller passed none.
-  obs::Tracer& tracer =
-      config.tracer != nullptr ? *config.tracer : inert_tracer;
-  tracer.BindLoop(&testbed.loop());
-
   std::unique_ptr<obs::EventLoopMetricsProbe> loop_probe;
   if (config.profile_loop && metrics != nullptr) {
     loop_probe = std::make_unique<obs::EventLoopMetricsProbe>(*metrics);
@@ -152,57 +148,34 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
 
     // Observability: per-arm probe-sample and hint instrumentation. All
     // metric values derive from simulated quantities, keeping the registry
-    // deterministic; the tracer adds sim-time instants in the "probe" and
-    // "hint" categories.
-    obs::HistogramCell* tq_hist = nullptr;
-    obs::HistogramCell* tc_hist = nullptr;
+    // deterministic.
     obs::HistogramCell* innovation_hist = nullptr;
-    obs::Counter* hint_congested = nullptr;
-    obs::Counter* hint_clear = nullptr;
     if (metrics != nullptr) {
       const obs::Labels arm = WithArm(config.metric_labels, cc.kwikr);
-      tq_hist = &metrics->GetHistogram("probe_tq_ms", arm, {0.0, 500.0, 250});
-      tc_hist = &metrics->GetHistogram("probe_tc_ms", arm, {0.0, 500.0, 250});
+      obs::HistogramCell* tq_hist =
+          &metrics->GetHistogram("probe_tq_ms", arm, {0.0, 500.0, 250});
+      obs::HistogramCell* tc_hist =
+          &metrics->GetHistogram("probe_tc_ms", arm, {0.0, 500.0, 250});
       innovation_hist = &metrics->GetHistogram("rtc_innovation_ms", arm,
                                                {-250.0, 250.0, 250});
       obs::Labels congested = arm;
       congested.emplace_back("congested", "true");
       obs::Labels clear = arm;
       clear.emplace_back("congested", "false");
-      hint_congested = &metrics->GetCounter("kwikr_hints_total", congested);
-      hint_clear = &metrics->GetCounter("kwikr_hints_total", clear);
-    }
-    obs::Tracer* tracer_ptr = &tracer;
-    call.prober->AddSampleCallback(
-        [tq_hist, tc_hist, tracer_ptr](const core::PingPairSample& s) {
-          if (tq_hist != nullptr) {
+      obs::Counter* hint_congested =
+          &metrics->GetCounter("kwikr_hints_total", congested);
+      obs::Counter* hint_clear =
+          &metrics->GetCounter("kwikr_hints_total", clear);
+      call.prober->AddSampleCallback(
+          [tq_hist, tc_hist](const core::PingPairSample& s) {
             tq_hist->Observe(sim::ToMillis(s.tq));
             tc_hist->Observe(sim::ToMillis(s.tc));
-          }
-          if (tracer_ptr->enabled()) {
-            tracer_ptr->InstantAt(
-                "ping_pair_sample", "probe", s.completed_at,
-                {{"tq_ms", sim::ToMillis(s.tq)},
-                 {"ta_ms", sim::ToMillis(s.ta)},
-                 {"tc_ms", sim::ToMillis(s.tc)},
-                 {"sandwiched", static_cast<double>(s.sandwiched)},
-                 {"max_reply_tx",
-                  static_cast<double>(s.max_reply_transmissions)}});
-          }
-        });
-    call.adapter->AddHintCallback(
-        [hint_congested, hint_clear, tracer_ptr](const core::WifiHint& hint) {
-          if (hint_congested != nullptr) {
+          });
+      call.adapter->AddHintCallback(
+          [hint_congested, hint_clear](const core::WifiHint& hint) {
             (hint.congested ? hint_congested : hint_clear)->Add();
-          }
-          if (tracer_ptr->enabled()) {
-            tracer_ptr->InstantAt(
-                hint.congested ? "hint_congested" : "hint_clear", "hint",
-                hint.at,
-                {{"smoothed_tq_ms", hint.smoothed_tq_ms},
-                 {"smoothed_tc_ms", hint.smoothed_tc_ms}});
-          }
-        });
+          });
+    }
 
     // Client receive path: media -> receiver + prober flow log; ICMP ->
     // prober replies. With a registry attached, count media packets and
@@ -322,63 +295,6 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
           }
         });
     queue_sampler->Start();
-  }
-
-  // --- Trace sampler -------------------------------------------------------
-  // Periodic counter tracks for the Chrome trace viewer: per-AC AP queue
-  // depth, channel state, the first call's rate-control state, and TCP
-  // flight size. Only scheduled when a sink is attached, so traced and
-  // untraced runs of the same config share an event schedule prefix only —
-  // never compare their registries.
-  std::unique_ptr<sim::PeriodicTimer> trace_sampler;
-  if (tracer.enabled()) {
-    std::uint64_t last_collisions = 0;
-    trace_sampler = std::make_unique<sim::PeriodicTimer>(
-        testbed.loop(), config.trace_sample_interval,
-        [&tracer, &testbed, &bss, &calls, last_collisions]() mutable {
-          wifi::AccessPoint& ap = bss.ap();
-          tracer.Counter(
-              "ap_queue_depth", "queue",
-              {{"BK", static_cast<double>(ap.DownlinkQueueLength(
-                          wifi::AccessCategory::kBackground))},
-               {"BE", static_cast<double>(ap.DownlinkQueueLength(
-                          wifi::AccessCategory::kBestEffort))},
-               {"VI", static_cast<double>(ap.DownlinkQueueLength(
-                          wifi::AccessCategory::kVideo))},
-               {"VO", static_cast<double>(ap.DownlinkQueueLength(
-                          wifi::AccessCategory::kVoice))}});
-          const std::uint64_t collisions = testbed.channel().collisions();
-          tracer.Counter(
-              "channel", "wifi",
-              {{"busy_pct", testbed.channel().BusyFraction() * 100.0},
-               {"collisions_delta",
-                static_cast<double>(collisions - last_collisions)}});
-          last_collisions = collisions;
-          if (!calls.empty()) {
-            const LiveCall& call = calls.front();
-            tracer.Counter(
-                "rate_control", "rtc",
-                {{"target_kbps",
-                  static_cast<double>(call.receiver->target_rate_bps()) /
-                      1000.0},
-                 {"innovation_ms",
-                  call.receiver->estimator().last_innovation_s() * 1000.0}});
-          }
-          const auto& flows = testbed.cross_flows();
-          if (!flows.empty()) {
-            std::uint64_t in_flight = 0;
-            double max_cwnd = 0.0;
-            for (const auto& flow : flows) {
-              in_flight += flow->sender->in_flight();
-              max_cwnd = std::max(max_cwnd,
-                                  static_cast<double>(flow->sender->cwnd()));
-            }
-            tracer.Counter("tcp_cross", "tcp",
-                           {{"in_flight", static_cast<double>(in_flight)},
-                            {"max_cwnd", max_cwnd}});
-          }
-        });
-    trace_sampler->Start();
   }
 
   // --- Timeline telemetry --------------------------------------------------
@@ -535,12 +451,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     call.receiver->Start();
     call.prober->Start();
   }
-  {
-    obs::ScopedSpan run_span(tracer, "call_experiment", "experiment");
-    run_span.AddArg("duration_s", sim::ToSeconds(config.duration));
-    run_span.AddArg("calls", static_cast<double>(calls.size()));
-    testbed.loop().RunUntil(config.duration);
-  }
+  testbed.loop().RunUntil(config.duration);
   for (auto& call : calls) {
     call.sender->Stop();
     call.receiver->Stop();
@@ -554,9 +465,12 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   if (sampler != nullptr) {
     sampler->Stop();
     result.timeline_jsonl = sampler->ToJsonl(config.timeline.call_index);
-    // Second exporter: replay the retained series as Chrome-trace counter
-    // tracks into whatever sink the tracer feeds.
-    if (tracer.enabled()) sampler->EmitCounters(*tracer.sink());
+    if (!config.timeline.chrome_trace.empty()) {
+      obs::ChromeTraceWriter writer;
+      sampler->EmitCounters(writer);
+      if (recorder != nullptr) recorder->EmitInstants(writer);
+      writer.WriteJson(config.timeline.chrome_trace);
+    }
     if (monitor != nullptr && monitor->triggered()) {
       result.postmortem = monitor->dump();
       result.postmortem_reason = monitor->reason();

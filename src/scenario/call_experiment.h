@@ -9,7 +9,6 @@
 #include "core/ping_pair.h"
 #include "faults/fault_spec.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/timeseries.h"
 #include "rtc/controller.h"
 #include "rtc/media.h"
@@ -93,12 +92,8 @@ struct ExperimentConfig {
   //
   // `metrics` receives only deterministic series (counters of simulated
   // events, sim-time histograms, gauges of sim-derived values), so a merged
-  // registry is bit-identical across worker counts. `tracer` events are
-  // wall-clock-tainted and must stay out of registries that are compared
-  // across runs.
+  // registry is bit-identical across worker counts.
   obs::MetricsRegistry* metrics = nullptr;
-  obs::Tracer* tracer = nullptr;  ///< bound to this experiment's loop.
-  sim::Duration trace_sample_interval = sim::Millis(100);
   /// Extra labels stamped on every series (e.g. {{"env", "3"}}).
   obs::Labels metric_labels = {};
   /// Attach an obs::EventLoopMetricsProbe (per-event-type counts) to the
@@ -127,6 +122,10 @@ struct ExperimentConfig {
     /// Where a triggered postmortem is written (empty = in-memory only,
     /// returned via ExperimentMetrics::postmortem).
     std::string postmortem_path;
+    /// Where the run's Chrome trace is written after the run (empty =
+    /// none): the retained series as counter tracks plus the flight
+    /// recorder's events as instants, all on the simulated-time axis.
+    std::string chrome_trace;
     /// Stamped as `"call":N` on every timeline line when >= 0 — the
     /// population layer sets it so concatenated per-call timelines stay
     /// attributable.

@@ -3,6 +3,7 @@
 // ping-pair discards under retransmission bursts, Section 5.5 WMM verdicts
 // on dishonest APs), and the determinism contract the golden corpus and the
 // fleet sharding rely on.
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,8 @@ TEST(FaultSpecTest, RejectsOutOfRangeNumbers) {
       "ge.loss_bad=inf",
       "wmm.honor_prob=0x1p+1",
       "ge.mean_good_ms=-5",
+      "ge.mean_good_ms=0",
+      "ge.mean_bad_ms=0.5",
       "reorder.delay_ms=1e300",
       "wan.jitter_ms=nan",
       "churn.period_ms=-1",
@@ -160,6 +163,21 @@ TEST(GilbertElliottTest, LossProbTracksState) {
   }
   EXPECT_TRUE(saw_good);
   EXPECT_TRUE(saw_bad);
+}
+
+TEST(GilbertElliottTest, RejectsSubMillisecondMeans) {
+  // Below 1 ms the chain flips state millions of times per simulated
+  // second; a zero mean flips it once per nanosecond.
+  faults::GilbertElliott::Config config;
+  config.mean_good = 0;
+  EXPECT_THROW(faults::GilbertElliott ge(config, sim::Rng(1)),
+               std::invalid_argument);
+  config.mean_good = sim::Millis(1);
+  config.mean_bad = sim::Millis(1) - 1;
+  EXPECT_THROW(faults::GilbertElliott ge(config, sim::Rng(1)),
+               std::invalid_argument);
+  config.mean_bad = sim::Millis(1);
+  EXPECT_NO_THROW(faults::GilbertElliott ge(config, sim::Rng(1)));
 }
 
 // --- Scenario plumbing -----------------------------------------------------

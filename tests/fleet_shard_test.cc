@@ -359,6 +359,50 @@ TEST(WildCallCodec, RejectsNonCanonicalNumbers) {
   }
 }
 
+TEST(CheckpointCodec, RejectsNonCanonicalManifests) {
+  // Each row respells one field of a canonical manifest into something that
+  // parses to the same value but is not what the encoder writes.
+  const struct {
+    std::uint64_t completed;
+    const char* field;  ///< canonical `"key":value` as encoded.
+    const char* spelled;
+  } kRows[] = {
+      {10, "\"completed\":10", "\"completed\":18446744073709551626"},  // wraps
+      {10, "\"shard_count\":1", "\"shard_count\":4294967297"},  // narrows
+      {8, "\"completed\":8", "\"completed\":008"},
+  };
+  for (const auto& row : kRows) {
+    fleet::CheckpointManifest manifest;
+    manifest.fingerprint = "seed=1010 calls=24";
+    manifest.range_end = 24;
+    manifest.completed = row.completed;
+    std::string spelled = fleet::EncodeCheckpointManifest(manifest);
+    const auto at = spelled.find(row.field);
+    ASSERT_NE(at, std::string::npos) << row.field;
+    spelled.replace(at, std::string(row.field).size(), row.spelled);
+    fleet::CheckpointManifest decoded;
+    decoded.completed = 99;
+    EXPECT_FALSE(fleet::DecodeCheckpointManifest(spelled, &decoded))
+        << spelled;
+    EXPECT_EQ(decoded.completed, 99u) << "outputs must stay untouched";
+  }
+}
+
+TEST(CheckpointCodec, RoundTripsControlCharactersInFingerprint) {
+  fleet::CheckpointManifest manifest;
+  // Every escape JsonEscape writes: the named ones and \u00XX.
+  manifest.fingerprint = "cr\r bs\b ff\f nl\n tab\t quote\" slash\\ soh\x01.";
+  manifest.range_end = 24;
+  manifest.completed = 8;
+  const std::string text = fleet::EncodeCheckpointManifest(manifest);
+  for (const std::string& form : {text, text.substr(0, text.size() - 1)}) {
+    fleet::CheckpointManifest decoded;
+    ASSERT_TRUE(fleet::DecodeCheckpointManifest(form, &decoded)) << form;
+    EXPECT_EQ(decoded.fingerprint, manifest.fingerprint);
+    EXPECT_EQ(fleet::EncodeCheckpointManifest(decoded), text);
+  }
+}
+
 // ------------------------------------------- inline worker + resume ------
 
 TEST(ShardRunner, InlineWorkerSpillsAndMergesInGlobalOrder) {

@@ -3,7 +3,9 @@
 // A fixed seed and budget, no fuzzing library. Each mutant must be rejected
 // or accepted without a throw, an abort or (in the ASan and UBSan builds) a
 // sanitizer report, and the registry must keep every histogram's count equal
-// to its bin sum.
+// to its bin sum. The codecs also round-trip: an accepted spill line or
+// manifest re-encodes to itself, and a serialized registry survives one more
+// merge-and-serialize unchanged.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +62,12 @@ void Fuzz(const std::vector<std::string>& seeds, int trials,
   }
 }
 
+/// True when `encoded` (which ends in '\n') is `text`, with or without that
+/// newline: the decoders accept both forms.
+bool IsEncodingOf(const std::string& text, const std::string& encoded) {
+  return text == encoded || text + "\n" == encoded;
+}
+
 /// The golden corpus, in name order.
 std::vector<std::string> GoldenScenarios() {
   std::set<std::filesystem::path> paths;
@@ -110,7 +118,11 @@ TEST(SeededMutation, SpillAndManifestCodecsNeverCrash) {
        20'000, [](const std::string& text) {
          std::uint64_t index = 0;
          scenario::WildCallResult decoded;
-         scenario::DecodeWildCallLine(text, &index, &decoded);
+         if (scenario::DecodeWildCallLine(text, &index, &decoded)) {
+           EXPECT_TRUE(IsEncodingOf(
+               text, scenario::EncodeWildCallLine(index, decoded)))
+               << text;
+         }
        });
 
   fleet::CheckpointManifest manifest;
@@ -120,7 +132,11 @@ TEST(SeededMutation, SpillAndManifestCodecsNeverCrash) {
   Fuzz({fleet::EncodeCheckpointManifest(manifest)}, 20'000,
        [](const std::string& text) {
          fleet::CheckpointManifest decoded;
-         fleet::DecodeCheckpointManifest(text, &decoded);
+         if (fleet::DecodeCheckpointManifest(text, &decoded)) {
+           EXPECT_TRUE(
+               IsEncodingOf(text, fleet::EncodeCheckpointManifest(decoded)))
+               << text;
+         }
        });
 }
 
@@ -150,6 +166,11 @@ TEST(SeededMutation, RegistryCodecKeepsHistogramsConsistent) {
                 std::accumulate(counts.begin(), counts.end(), std::int64_t{0}))
           << text;
     }
+    const std::string serialized = obs::SerializeRegistry(into);
+    obs::MetricsRegistry again;
+    ASSERT_TRUE(obs::MergeSerializedRegistry(serialized, &again, &error))
+        << error << "\n" << serialized;
+    ASSERT_EQ(obs::SerializeRegistry(again), serialized) << text;
   });
 }
 

@@ -1,45 +1,23 @@
 // Tests for the unified observability layer (src/obs): registry semantics,
 // merge associativity/worker-count invariance, exporter validity, and the
-// zero-cost disabled paths.
+// event-loop probe.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstddef>
-#include <cstdlib>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <memory>
-#include <new>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "obs/exporters.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "scenario/fault_scenario.h"
 #include "scenario/wild_population.h"
 #include "sim/event_loop.h"
-
-namespace kwikr {
-namespace {
-
-// ------------------------------------------------ allocation counter ------
-// Global operator new/delete replacements counting heap allocations, used to
-// prove the disabled tracer path allocates nothing. The counter covers the
-// whole binary (including fleet worker threads), so it must be atomic, and
-// tests sample it immediately around the code under test.
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-}  // namespace kwikr
-
-void* operator new(std::size_t size) {
-  kwikr::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kwikr {
 namespace {
@@ -326,23 +304,15 @@ TEST(ExportersTest, EmptyRegistrySerializesEmpty) {
 }
 
 TEST(ExportersTest, ChromeTraceJsonParsesWithCategories) {
-  sim::EventLoop loop;
   obs::ChromeTraceWriter writer;
-  obs::Tracer tracer(&loop);
-  tracer.SetSink(&writer);
-
-  {
-    obs::ScopedSpan span(tracer, "experiment", "experiment");
-    span.AddArg("calls", 1.0);
-    loop.ScheduleIn(sim::Millis(5), [] {});
-    loop.Run();
-  }
-  tracer.InstantAt("sample", "probe", sim::Millis(1),
+  writer.OnSpan("experiment", "experiment", 0, sim::Millis(5),
+                /*wall_us=*/12.5, {{"calls", 1.0}});
+  writer.OnInstant("sample", "probe", sim::Millis(1),
                    {{"tq_ms", 2.5}, {"weird\"key", 1.0}});
-  tracer.Counter("depth", "queue", {{"BE", 4.0}});
-  tracer.Counter("channel", "wifi", {{"busy_pct", 12.0}});
-  tracer.Counter("rate", "rtc", {{"kbps", 500.0}});
-  tracer.Counter("flight", "tcp", {{"in_flight", 9.0}});
+  writer.OnCounter("depth", "queue", sim::Millis(2), {{"BE", 4.0}});
+  writer.OnCounter("channel", "wifi", sim::Millis(2), {{"busy_pct", 12.0}});
+  writer.OnCounter("rate", "rtc", sim::Millis(2), {{"kbps", 500.0}});
+  writer.OnCounter("flight", "tcp", sim::Millis(2), {{"in_flight", 9.0}});
 
   const std::string json = writer.ToJson();
   EXPECT_TRUE(JsonParser(json).Parse()) << json;
@@ -361,32 +331,81 @@ TEST(ExportersTest, ChromeTraceJsonParsesWithCategories) {
   EXPECT_NE(json.find("\"wall_us\":"), std::string::npos);
 }
 
-// ------------------------------------------------------- zero-cost path ---
+TEST(ExportersTest, CallTraceExportsTimelineSeriesAndFlightEvents) {
+  // A congested call with the timeline on, run twice: without and with
+  // `timeline.chrome_trace`. The trace is written after the run, so every
+  // deterministic output must be the same bytes either way.
+  scenario::FaultScenario parsed;
+  std::string error;
+  ASSERT_TRUE(scenario::ParseFaultScenario(
+      "name=trace_unit\n"
+      "seed=1003\n"
+      "duration_ms=8000\n"
+      "cross_stations=2\n"
+      "flows_per_station=10\n"
+      "congestion_start_ms=2000\n"
+      "congestion_end_ms=6000\n"
+      "timeline=1\n"
+      "timeline_interval_ms=100\n",
+      &parsed, &error))
+      << error;
+  scenario::FaultScenarioArtifacts plain;
+  const std::string plain_summary =
+      ToCanonicalJson(RunFaultScenario(parsed, &plain));
 
-TEST(TracerTest, DisabledPathDoesNotAllocate) {
-  sim::EventLoop loop;
-  obs::Tracer tracer(&loop);  // no sink: disabled.
-  ASSERT_FALSE(tracer.enabled());
+  const std::string path = ::testing::TempDir() + "obs_test_call_trace.json";
+  parsed.experiment.timeline.chrome_trace = path;
+  scenario::FaultScenarioArtifacts traced;
+  EXPECT_EQ(ToCanonicalJson(RunFaultScenario(parsed, &traced)),
+            plain_summary);
+  EXPECT_EQ(traced.timeline_jsonl, plain.timeline_jsonl);
+  EXPECT_EQ(obs::PrometheusText(traced.registry),
+            obs::PrometheusText(plain.registry));
 
-  const std::size_t before = g_allocations;
-  for (int i = 0; i < 100; ++i) {
-    obs::ScopedSpan span(tracer, "hot", "path");
-    span.AddArg("x", 1.0);
-    tracer.Instant("nope", "path");
-    tracer.Counter("nope", "path", {});
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  const std::string json = text.str();
+  ASSERT_TRUE(JsonParser(json).Parse()) << json.substr(0, 200);
+
+  // Every event opens with {"name":...,"cat":...,"ph":...}.
+  auto field = [&json](std::size_t from, const char* key) {
+    const std::string tag = std::string("\"") + key + "\":\"";
+    const std::size_t at = json.find(tag, from) + tag.size();
+    return json.substr(at, json.find('"', at) - at);
+  };
+  std::map<std::string, std::size_t> counter_rows;
+  std::size_t flight_instants = 0;
+  for (std::size_t at = json.find("{\"name\":\""); at != std::string::npos;
+       at = json.find("{\"name\":\"", at + 1)) {
+    const std::string phase = field(at, "ph");
+    if (phase == "C") {
+      EXPECT_EQ(field(at, "cat"), "timeline");
+      ++counter_rows[field(at, "name")];
+    } else {
+      ASSERT_EQ(phase, "i");
+      EXPECT_EQ(field(at, "cat"), "flight");
+      ++flight_instants;
+    }
   }
-  EXPECT_EQ(g_allocations, before);
-}
 
-TEST(TracerTest, EnablingSinkEmits) {
-  sim::EventLoop loop;
-  obs::ChromeTraceWriter writer;
-  obs::Tracer tracer(&loop);
-  { obs::ScopedSpan span(tracer, "off", "x"); }
-  EXPECT_EQ(writer.events(), 0u);
-  tracer.SetSink(&writer);
-  { obs::ScopedSpan span(tracer, "on", "x"); }
-  EXPECT_EQ(writer.events(), 1u);
+  // One counter track per timeline series, one counter event per row.
+  std::map<std::string, std::size_t> series_rows;
+  std::istringstream lines(plain.timeline_jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t name = line.find("\"name\":\"") + 8;
+    const std::size_t n = line.find("\"n\":") + 4;
+    series_rows[line.substr(name, line.find('"', name) - name)] =
+        std::stoul(line.substr(n));
+  }
+  EXPECT_EQ(counter_rows, series_rows);
+  EXPECT_EQ(counter_rows.count("ap_queue_BE"), 1u);
+  EXPECT_EQ(counter_rows.count("probe_tq_ms"), 1u);
+  EXPECT_EQ(counter_rows.count("rate_target_kbps"), 1u);
+
+  // The congestion window drops frames and retransmits segments, and the
+  // flight recorder's retained events arrive as instants.
+  EXPECT_GT(flight_instants, 0u);
 }
 
 // ------------------------------------------------------- event loop hook --

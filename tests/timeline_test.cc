@@ -117,6 +117,23 @@ TEST(SeriesSamplerTest, EmitCountersReplaysIntoChromeTrace) {
 
 // ------------------------------------------------------ FlightRecorder ----
 
+TEST(FlightRecorderTest, EmitInstantsWritesOneInstantPerRetainedEvent) {
+  obs::FlightRecorder recorder(8);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    recorder.Record(sim::Millis(static_cast<std::int64_t>(i)),
+                    obs::FlightEventKind::kTcpRetransmit, /*tag=*/3, i);
+  }
+  obs::ChromeTraceWriter writer;
+  recorder.EmitInstants(writer);
+  EXPECT_EQ(writer.events(), 8u);  // the retained window, events 2..9.
+  const std::string json = writer.ToJson();
+  EXPECT_NE(json.find("{\"name\":\"tcp_retransmit\",\"cat\":\"flight\","
+                      "\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":2000,"
+                      "\"s\":\"t\",\"args\":{\"tag\":3,\"value\":2}}"),
+            std::string::npos)
+      << json;
+}
+
 TEST(FlightRecorderTest, RingRetainsNewestEventsOldestFirst) {
   obs::FlightRecorder recorder(8);
   EXPECT_EQ(recorder.capacity(), 8u);
