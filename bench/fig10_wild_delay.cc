@@ -10,14 +10,14 @@
 //  * Legacy in-RAM mode (default): RunWildPopulation holds every call's
 //    result in a vector. Fine up to a few thousand calls.
 //  * Spill mode (--spill-dir DIR): the fleet::ShardRunner streams per-call
-//    results to JSONL spill files from forked worker processes
-//    (--processes P), optionally as one shard of a cluster-wide sweep
-//    (--shard k/n), checkpointing every --checkpoint-every calls so a
-//    killed run continues with --resume. Peak RSS is then independent of
-//    --calls: percentiles come from mergeable stats::Histogram sketches
-//    (exact bin-count merge), not from in-RAM sample vectors, so a
-//    million-call sweep runs in a bounded footprint and the merged
-//    artifacts are byte-identical for any worker x shard split.
+//    results to JSONL spill files, one chunk of calls at a time on --jobs
+//    threads, optionally as one shard of a cluster-wide sweep (--shard
+//    k/n), checkpointing every --checkpoint-every calls so a killed run
+//    continues with --resume. Peak RSS is then independent of --calls:
+//    percentiles come from mergeable stats::Histogram sketches (exact
+//    bin-count merge), not from in-RAM sample vectors, so a million-call
+//    sweep runs in a bounded footprint and the merged artifacts are
+//    byte-identical for any --jobs x --shard split.
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -189,15 +189,13 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
                  shard_text);
     return 2;
   }
-  config.processes = bench::ParseIntFlag(argc, argv, "--processes", 1);
   config.spill_dir = spill_dir;
   config.checkpoint_every = static_cast<std::uint64_t>(std::max(
       bench::ParseIntFlag(argc, argv, "--checkpoint-every", 256), 1));
   config.resume = bench::HasFlag(argc, argv, "--resume");
-  // Everything that shapes per-call bytes; deliberately NOT --processes,
-  // --jobs, or --checkpoint-every — those repartition work without changing
-  // any result, and a resume may legally alter them per worker topology
-  // rules (the manifest pins processes per shard separately).
+  // Everything that shapes per-call bytes; deliberately NOT --jobs or
+  // --checkpoint-every — those repartition work without changing any
+  // result, and a resume may legally alter them.
   {
     char fp[256];
     std::snprintf(fp, sizeof(fp),
@@ -247,14 +245,14 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
       return 1;
     }
     std::printf("fleet: shard %d/%d finished %llu calls (%llu resumed from "
-                "checkpoints) in %.1f ms with %d worker process(es)\n",
+                "checkpoints) in %.1f ms with --jobs %d\n",
                 config.shard.index, config.shard.count,
                 static_cast<unsigned long long>(run_status.items_done),
                 static_cast<unsigned long long>(run_status.items_resumed),
-                run_wall_ms, std::max(config.processes, 1));
+                run_wall_ms, wild.jobs);
   }
 
-  // ---- hierarchical merge: worker spills -> shard -> global artifacts ----
+  // ---- hierarchical merge: chunk spills -> shard -> global artifacts ----
   const std::string merged_dir = config.spill_dir + "/merged";
   if (!EnsureDir(merged_dir)) {
     std::fprintf(stderr, "cannot create %s\n", merged_dir.c_str());
@@ -303,17 +301,16 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
     return 1;
   }
   const std::uint64_t peak_rss =
-      std::max(merge.peak_worker_rss_kb, run_status.peak_worker_rss_kb);
+      std::max(merge.peak_rss_kb, run_status.peak_rss_kb);
   char headline[512];
   std::snprintf(
       headline, sizeof(headline),
       "{\"bench\":\"fleet_shard\",\"calls\":%d,\"shard\":\"%d/%d\","
-      "\"processes\":%d,\"jobs\":%d,\"checkpoint_every\":%llu,"
+      "\"jobs\":%d,\"checkpoint_every\":%llu,"
       "\"items_done\":%llu,\"items_resumed\":%llu,\"wall_ms\":%.1f,"
-      "\"calls_per_sec\":%.2f,\"peak_worker_rss_kb\":%llu,"
+      "\"calls_per_sec\":%.2f,\"peak_rss_kb\":%llu,"
       "\"rss_kb_per_1e5_calls\":%.1f}",
-      calls, config.shard.index, config.shard.count,
-      std::max(config.processes, 1), wild.jobs,
+      calls, config.shard.index, config.shard.count, wild.jobs,
       static_cast<unsigned long long>(config.checkpoint_every),
       static_cast<unsigned long long>(run_status.items_done),
       static_cast<unsigned long long>(run_status.items_resumed), run_wall_ms,
@@ -376,17 +373,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--timeline-interval-ms wants an integer >= 1\n");
     return 2;
   }
+  if (bench::HasFlag(argc, argv, "--processes")) {
+    std::fprintf(stderr,
+                 "--processes is gone: a sweep runs in one process; use "
+                 "--jobs N for N worker threads\n");
+    return 2;
+  }
   if (const char* spill_dir =
           bench::ParseStringFlag(argc, argv, "--spill-dir")) {
     return RunSpillMode(argc, argv, spill_dir);
   }
-  if (bench::HasFlag(argc, argv, "--processes") ||
-      bench::HasFlag(argc, argv, "--shard") ||
+  if (bench::HasFlag(argc, argv, "--shard") ||
       bench::HasFlag(argc, argv, "--resume")) {
     std::fprintf(stderr,
-                 "--processes/--shard/--resume need --spill-dir DIR (the "
-                 "multi-process runner streams results through spill "
-                 "files)\n");
+                 "--shard/--resume need --spill-dir DIR (the shard runner "
+                 "streams results through spill files)\n");
     return 2;
   }
 
@@ -465,7 +466,6 @@ int main(int argc, char** argv) {
     serial.jobs = 1;
     // The reference run must not merge into the same registry twice.
     serial.metrics = nullptr;
-    serial.fleet_metrics = nullptr;
     bench::WallTimer serial_timer;
     const scenario::WildResults serial_results =
         scenario::RunWildPopulation(serial);

@@ -126,13 +126,13 @@ std::size_t RunBand(wifi::Band band, const char* name,
   // the sweep shards across workers; samples are concatenated in step order
   // regardless of which worker finished first.
   const sim::Rng seed_root(seed_base);
-  const auto report =
+  const auto runs =
       fleet::RunFleet(steps.size(), jobs, [&](std::size_t i) {
         return RunLoadStep(band, steps[i].flows, steps[i].udp_fraction,
                            seed_root.Fork(i).Next());
       });
   std::vector<stats::LabelledSample> all;
-  for (const auto& run : report.results) {
+  for (const auto& run : runs) {
     all.insert(all.end(), run.samples.begin(), run.samples.end());
   }
 

@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
   stats::RunningSummary skype_bg_kwikr;   // measured Skype, background Kwikr
   stats::RunningSummary kwikr_bg_skype;   // measured Kwikr, background Skype
   stats::RunningSummary kwikr_bg_kwikr;   // measured Kwikr, background Kwikr
-  for (std::size_t index = 0; index < legacy.results.size(); ++index) {
-    const auto& pair = legacy.results[index];  // index order: deterministic.
+  for (std::size_t index = 0; index < legacy.size(); ++index) {
+    const auto& pair = legacy[index];  // index order: deterministic.
     switch (index / kRuns) {
       case 0:
         skype_bg_skype.Add(pair.first);
@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
               "rate_kbps", "Tq", "Ta", "Tc", "aqm_drop", "ovf_drop");
   constexpr std::size_t kCells = std::size(kCcAxis) * std::size(kQdiscAxis);
   const auto grid = fleet::RunFleet(kCells, jobs, RunGridCell);
-  for (std::size_t index = 0; index < grid.results.size(); ++index) {
-    const auto& cell = grid.results[index];
+  for (std::size_t index = 0; index < grid.size(); ++index) {
+    const auto& cell = grid[index];
     std::printf(
         "%-10s %-10s | %10.0f %8.2f %8.2f %8.2f | %9llu %9llu\n",
         transport::Name(kCcAxis[index / std::size(kQdiscAxis)]),

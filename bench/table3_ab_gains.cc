@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
     serial.jobs = 1;
     // The reference run must not merge into the same registry twice.
     serial.metrics = nullptr;
-    serial.fleet_metrics = nullptr;
     bench::WallTimer serial_timer;
     scenario::RunWildPopulation(serial);
     serial_wall_ms = serial_timer.ElapsedMs();

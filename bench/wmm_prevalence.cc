@@ -9,10 +9,10 @@
 
 #include "bench_util.h"
 #include "core/wmm_detector.h"
-#include "fleet/fleet_metrics.h"
 #include "fleet/fleet_runner.h"
 #include "scenario/testbed.h"
 #include "sim/rng.h"
+#include "stats/confusion.h"
 #include "wifi/rate_table.h"
 
 using namespace kwikr;
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       });
   int correct = 0;
   for (std::size_t m = 0; m < std::size(models); ++m) {
-    const ModelScore& score = accuracy.results[m];
+    const ModelScore& score = accuracy[m];
     correct += score.wmm_hits + score.fifo_hits;
     std::printf("%-14s %11d/5 %11d/5\n", models[m].name, score.wmm_hits,
                 score.fifo_hits);
@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- prevalence survey: 171 APs, 77%% WMM prior ---\n");
   // The population draws stay serial (one shared stream defines who is
-  // WMM-enabled); the 171 detections then shard across workers, each task
-  // merging its own confusion cell into the shared FleetMetrics.
+  // WMM-enabled); the 171 detections then shard across workers, and the
+  // confusion matrix is tallied from their index-ordered results.
   constexpr int kSurveyAps = 171;
   struct SurveyAp {
     int model = 0;
@@ -136,16 +136,17 @@ int main(int argc, char** argv) {
     ap.wmm = population.Bernoulli(0.77);
   }
   const sim::Rng survey_root(3000);
-  fleet::FleetMetrics survey_metrics;
-  fleet::RunFleet(aps.size(), jobs, [&](std::size_t ap) -> int {
-    const bool detected = DetectOnce(models[aps[ap].model], aps[ap].wmm, true,
-                                     survey_root.Fork(ap).Next());
-    stats::ConfusionMatrix cell;
-    cell.Add(aps[ap].wmm, detected);
-    survey_metrics.MergeConfusion("survey", cell);
-    return detected ? 1 : 0;
-  });
-  const stats::ConfusionMatrix survey = survey_metrics.Confusion("survey");
+  const auto detected =
+      fleet::RunFleet(aps.size(), jobs, [&](std::size_t ap) -> int {
+        return DetectOnce(models[aps[ap].model], aps[ap].wmm, true,
+                          survey_root.Fork(ap).Next())
+                   ? 1
+                   : 0;
+      });
+  stats::ConfusionMatrix survey;
+  for (std::size_t ap = 0; ap < aps.size(); ++ap) {
+    survey.Add(aps[ap].wmm, detected[ap] == 1);
+  }
   const auto actually_wmm = survey.actual_positives();
   const auto detected_wmm = survey.true_positives() + survey.false_positives();
   detections += kSurveyAps;
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
                : 0;
   });
   int idle_detected = 0;
-  for (const int detected : idle.results) idle_detected += detected;
+  for (const int hit : idle) idle_detected += hit;
   detections += 10;
   std::printf("WMM AP detected on idle network in %d/10 attempts — with no "
               "standing\nqueue the detector conservatively reports no-WMM "

@@ -8,13 +8,13 @@
 #   BENCH_channel.json   — micro_channel: saturated multi-AC EDCA contention
 #       plus a ping-pair probe through wifi::Channel (frames/sec,
 #       allocs/frame — must be zero, busy fraction, peak RSS).
-#   BENCH_fleet.json     — spill-mode fig10 sweep through the multi-process
-#       shard runner (calls/sec, peak worker RSS, RSS per 10^5 calls). Two
-#       population sizes gate the flat-memory claim: peak worker RSS of the
+#   BENCH_fleet.json     — spill-mode fig10 sweep through the shard runner
+#       at --jobs 4 (calls/sec, peak RSS, RSS per 10^5 calls). Two
+#       population sizes gate the flat-memory claim: peak RSS of the
 #       4x-larger sweep must stay within 1.35x of the smaller one, because
 #       spill streaming makes the footprint independent of call count. The
-#       merged percentiles are also byte-compared between --processes 1 and
-#       --processes 4.
+#       merged percentiles are also byte-compared between --jobs 1 and
+#       --jobs 4.
 #   BENCH_fig10.json     — fixed-seed fig10 wild-population sweep
 #       (simulated events/sec inside a full scenario, wall time, peak RSS),
 #       plus a byte-identity check of --metrics-out between --jobs 1 and
@@ -138,39 +138,39 @@ if [[ "$run_fleet" == 1 ]]; then
   ensure_spill_dir "$tmp/fleet_small"
   ensure_spill_dir "$tmp/fleet_large"
   ensure_spill_dir "$tmp/fleet_serial"
-  "$fig10" --calls "$small_calls" --call-seconds 1 --processes 4 \
+  "$fig10" --calls "$small_calls" --call-seconds 1 --jobs 4 \
     --checkpoint-every 64 --spill-dir "$tmp/fleet_small" \
     | tee "$tmp/fleet_small.out"
-  "$fig10" --calls "$large_calls" --call-seconds 1 --processes 4 \
+  "$fig10" --calls "$large_calls" --call-seconds 1 --jobs 4 \
     --checkpoint-every 64 --spill-dir "$tmp/fleet_large" \
     | tee "$tmp/fleet_large.out"
-  "$fig10" --calls "$large_calls" --call-seconds 1 --processes 1 \
+  "$fig10" --calls "$large_calls" --call-seconds 1 --jobs 1 \
     --checkpoint-every 64 --spill-dir "$tmp/fleet_serial" > /dev/null
 
-  echo "== determinism: merged percentiles across --processes 1 vs 4 =="
+  echo "== determinism: merged percentiles across --jobs 1 vs 4 =="
   if ! cmp "$tmp/fleet_serial/merged/percentiles.json" \
            "$tmp/fleet_large/merged/percentiles.json"; then
-    echo "FAIL: fleet percentiles differ between --processes 1 and 4" >&2
+    echo "FAIL: fleet percentiles differ between --jobs 1 and 4" >&2
     exit 1
   fi
-  echo "fleet percentiles byte-identical between --processes 1 and 4"
+  echo "fleet percentiles byte-identical between --jobs 1 and 4"
 
-  echo "== gate: spill streaming must keep worker RSS flat =="
+  echo "== gate: spill streaming must keep RSS flat =="
   # Absolute RSS is machine-dependent; the *ratio* between a sweep and one
   # 4x its size is not. In-RAM accumulation scales it ~linearly with the
   # call count; spill streaming holds it at the checkpoint-chunk high-water
   # mark, so anything past 1.35x is a regression toward buffering.
-  rss_small=$(grep -o '"peak_worker_rss_kb":[0-9]*' "$tmp/fleet_small.out" \
+  rss_small=$(grep -o '"peak_rss_kb":[0-9]*' "$tmp/fleet_small.out" \
     | cut -d: -f2)
-  rss_large=$(grep -o '"peak_worker_rss_kb":[0-9]*' "$tmp/fleet_large.out" \
+  rss_large=$(grep -o '"peak_rss_kb":[0-9]*' "$tmp/fleet_large.out" \
     | cut -d: -f2)
   if (( rss_large * 100 > rss_small * 135 )); then
-    echo "FAIL: peak worker RSS grew from ${rss_small} kB (${small_calls}" \
+    echo "FAIL: peak RSS grew from ${rss_small} kB (${small_calls}" \
       "calls) to ${rss_large} kB (${large_calls} calls) — spill streaming" \
       "is no longer flat-memory" >&2
     exit 1
   fi
-  echo "peak worker RSS ${rss_small} kB @ ${small_calls} calls vs" \
+  echo "peak RSS ${rss_small} kB @ ${small_calls} calls vs" \
     "${rss_large} kB @ ${large_calls} calls (gate: 1.35x)"
 
   if [[ -z "$quick" ]]; then

@@ -3,7 +3,7 @@
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. fleet: `ctest -L fleet_shard` (spill/checkpoint/resume property
 #      tests) plus a spill-mode smoke of the fig10 sweep — the same calls
-#      under --processes 1 and --processes 2 must merge to byte-identical
+#      under --jobs 1 and --jobs 2 must merge to byte-identical
 #      percentiles, metrics, and timeline artifacts.
 #   3. tsan: rebuild the concurrency-sensitive suites under ThreadSanitizer
 #      (-DKWIKR_SANITIZE=thread) and run `ctest -L obs` + `ctest -L faults`
@@ -13,9 +13,8 @@
 #      independence, the frame-path primitives the sharded runs lean on,
 #      the CC x qdisc grid that rides the same fleet, the timeline
 #      telemetry whose population byte-identity runs worker-local samplers
-#      in parallel, and the multi-process shard runner whose fork/merge
-#      paths must stay clean when the chunk functions spin up their own
-#      pools).
+#      in parallel, and the shard runner whose chunk functions run their
+#      calls on fleet threads).
 #   4. perf: Release-mode micro_eventloop + micro_channel smoke against the
 #      committed BENCH_eventloop.json / BENCH_channel.json — fails when the
 #      headline throughput regresses more than 20% or the dispatch / frame
@@ -51,15 +50,21 @@ declare -a step_results=()
 failed=0
 
 # run_step <name> <function>: runs the step in a subshell with errexit so a
-# failing command anywhere inside fails the whole step (calling a function
-# from a conditional would silently disable `set -e` within it — the classic
-# exit-propagation bug this wrapper exists to avoid). In --ci mode failures
-# are recorded and reported at the end; interactively they abort at once.
+# failing command anywhere inside fails the whole step. The subshell runs as
+# a plain command with errexit paused out here: bash ignores `set -e` inside
+# anything that `if`, `!`, `&&` or `||` tests, subshells included, and
+# would then let only a step's last command decide it. In --ci mode
+# failures are recorded and reported at the end; interactively they abort
+# at once.
 run_step() {
   local name="$1" fn="$2"
   echo "== $name =="
-  local status=ok
-  if ! (set -euo pipefail; "$fn"); then
+  local status=ok rc
+  set +e
+  (set -euo pipefail; "$fn")
+  rc=$?
+  set -e
+  if ((rc != 0)); then
     status=fail
     failed=1
   fi
@@ -91,21 +96,21 @@ step_tier1() {
 step_fleet() {
   cmake --build build -j "$jobs" --target fleet_shard_test fig10_wild_delay
   ctest --test-dir build -L fleet_shard --output-on-failure -j "$jobs"
-  # Spill-mode smoke: one worker process vs two must merge byte-identically.
+  # Spill-mode smoke: one thread vs two must merge byte-identically.
   local fig10=./build/bench/fig10_wild_delay
-  ensure_spill_dir build/fleet-smoke/p1
-  ensure_spill_dir build/fleet-smoke/p2
-  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/p1 \
-    --processes 1 --checkpoint-every 4 --metrics --timeline > /dev/null
-  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/p2 \
-    --processes 2 --checkpoint-every 4 --metrics --timeline > /dev/null
+  ensure_spill_dir build/fleet-smoke/j1
+  ensure_spill_dir build/fleet-smoke/j2
+  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/j1 \
+    --jobs 1 --checkpoint-every 4 --metrics --timeline > /dev/null
+  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/j2 \
+    --jobs 2 --checkpoint-every 4 --metrics --timeline > /dev/null
   local artifact
   for artifact in percentiles.json metrics.prom timeline.jsonl; do
-    cmp "build/fleet-smoke/p1/merged/$artifact" \
-        "build/fleet-smoke/p2/merged/$artifact"
+    cmp "build/fleet-smoke/j1/merged/$artifact" \
+        "build/fleet-smoke/j2/merged/$artifact"
   done
   echo "fleet spill smoke: merged artifacts byte-identical across" \
-       "--processes 1 and --processes 2"
+       "--jobs 1 and --jobs 2"
 }
 
 step_tsan() {

@@ -4,16 +4,16 @@
 # real fig10 wild-population scenario.
 #
 #   1. Split invariance — one 600-call sweep, three topologies:
-#        1 process  x 1 shard   (the reference)
-#        4 processes x 2 shards (two invocations against one spill dir —
-#                                the cluster shape; the first merge reports
-#                                "pending", the second completes it)
-#        8 processes x 1 shard
+#        --jobs 1 x 1 shard   (the reference)
+#        --jobs 4 x 2 shards  (two invocations against one spill dir —
+#                              the cluster shape; the first merge reports
+#                              "pending", the second completes it)
+#        --jobs 8 x 1 shard
 #      All three must merge to byte-identical percentiles.json,
 #      metrics.prom, and timeline.jsonl.
-#   2. Crash durability — SIGKILL the sweep mid-run, wait for the orphaned
-#      workers to drain, rerun with --resume, and require the merged
-#      artifacts to be byte-identical to the uninterrupted reference.
+#   2. Crash durability — SIGKILL the sweep mid-run, rerun with --resume,
+#      and require the merged artifacts to be byte-identical to the
+#      uninterrupted reference.
 #
 # Merged artifacts and the BENCH_fleet.json headline land in $ARTIFACT_DIR
 # (default fleet-ci-artifacts/) for upload.
@@ -34,50 +34,43 @@ common=(--calls "$calls" --call-seconds 1 --metrics --timeline)
 d=build-bench/fleet-ci
 mkdir -p "$artifact_dir"
 
-echo "== split invariance: 1x1 vs 4x2 vs 8x1 =="
+echo "== split invariance: jobs 1 x 1 shard vs 4 x 2 vs 8 x 1 =="
 ensure_spill_dir "$d/1x1"
 ensure_spill_dir "$d/4x2"
 ensure_spill_dir "$d/8x1"
 "$fig10" "${common[@]}" --checkpoint-every 32 --spill-dir "$d/1x1" \
-  --processes 1 | tee "$d/1x1.out"
+  --jobs 1 | tee "$d/1x1.out"
 "$fig10" "${common[@]}" --checkpoint-every 32 --spill-dir "$d/4x2" \
-  --processes 4 --shard 0/2
+  --jobs 4 --shard 0/2
 "$fig10" "${common[@]}" --checkpoint-every 32 --spill-dir "$d/4x2" \
-  --processes 4 --shard 1/2
+  --jobs 4 --shard 1/2
 "$fig10" "${common[@]}" --checkpoint-every 32 --spill-dir "$d/8x1" \
-  --processes 8 | tee "$d/8x1.out"
+  --jobs 8 | tee "$d/8x1.out"
 for artifact in percentiles.json metrics.prom timeline.jsonl; do
   cmp "$d/1x1/merged/$artifact" "$d/4x2/merged/$artifact"
   cmp "$d/1x1/merged/$artifact" "$d/8x1/merged/$artifact"
 done
-echo "merged artifacts byte-identical across 1x1 / 4x2 / 8x1"
+echo "merged artifacts byte-identical across jobs 1x1 / 4x2 / 8x1"
 
 echo "== crash durability: SIGKILL mid-run, resume, byte-compare =="
 ensure_spill_dir "$d/kill"
 "$fig10" "${common[@]}" --checkpoint-every 16 --spill-dir "$d/kill" \
-  --processes 2 > "$d/kill_first.out" 2>&1 &
+  --jobs 2 > "$d/kill_first.out" 2>&1 &
 pid=$!
 # Kill once the first checkpoints exist, so the resume has real progress to
 # pick up — but don't insist the kill lands mid-run: on a fast machine the
 # sweep may complete first, in which case the resume degenerates to an
-# (equally valid) all-resumed no-op.
+# (equally valid) all-resumed no-op. The sweep is one process, so once it
+# is reaped nothing can still append to the spill.
 for _ in $(seq 1 200); do
-  [[ -f "$d/kill/shard0of1_worker0.manifest.json" ]] && break
+  [[ -f "$d/kill/shard0of1.manifest.json" ]] && break
   sleep 0.05
 done
 sleep 0.3
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-# Orphaned workers stop at their next chunk boundary (the runner's getppid
-# guard) and may linger briefly as zombies until init reaps them; the
-# per-worker flock makes a premature resume fail loudly rather than race,
-# but draining first keeps this script deterministic.
-for _ in $(seq 1 300); do
-  pgrep -f 'fig10_wild_delay.*fleet-ci/kill' > /dev/null || break
-  sleep 0.1
-done
 "$fig10" "${common[@]}" --checkpoint-every 16 --spill-dir "$d/kill" \
-  --processes 2 --resume | tee "$d/resume.out"
+  --jobs 2 --resume | tee "$d/resume.out"
 for artifact in percentiles.json metrics.prom timeline.jsonl; do
   cmp "$d/kill/merged/$artifact" "$d/1x1/merged/$artifact"
 done

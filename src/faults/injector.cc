@@ -26,13 +26,8 @@ struct FaultInjector::ChurnState {
 };
 
 FaultInjector::FaultInjector(sim::EventLoop& loop, FaultSpec spec,
-                             sim::Rng rng, obs::MetricsRegistry* metrics,
-                             obs::Labels labels)
-    : loop_(loop),
-      spec_(std::move(spec)),
-      rng_(rng),
-      metrics_(metrics),
-      labels_(std::move(labels)) {
+                             sim::Rng rng, obs::MetricsRegistry* metrics)
+    : loop_(loop), spec_(std::move(spec)), rng_(rng), metrics_(metrics) {
   auto set = [this](FaultKind kind, bool on) {
     active_[static_cast<int>(kind)] = on;
   };
@@ -66,9 +61,7 @@ void FaultInjector::CountObs(const char* which, std::uint64_t n) {
                       n, which);
   }
   if (metrics_ == nullptr) return;
-  metrics_
-      ->GetCounter(std::string("fault_") + which + "_total", labels_)
-      .Add(n);
+  metrics_->GetCounter(std::string("fault_") + which + "_total").Add(n);
 }
 
 void FaultInjector::AttachChannel(wifi::Channel& channel,

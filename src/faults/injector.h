@@ -54,8 +54,7 @@ struct FaultCounters {
 class FaultInjector {
  public:
   FaultInjector(sim::EventLoop& loop, FaultSpec spec, sim::Rng rng,
-                obs::MetricsRegistry* metrics = nullptr,
-                obs::Labels labels = {});
+                obs::MetricsRegistry* metrics = nullptr);
 
   ~FaultInjector();  // out of line: ChurnState is incomplete here.
 
@@ -129,7 +128,6 @@ class FaultInjector {
   FaultSpec spec_;
   sim::Rng rng_;
   obs::MetricsRegistry* metrics_;
-  obs::Labels labels_;
   obs::FlightRecorder* recorder_ = nullptr;
   bool active_[kNumFaultKinds] = {};
   std::unique_ptr<GilbertElliott> ge_;

@@ -37,27 +37,25 @@ bool ParseU64Field(std::string_view text, std::size_t* pos,
 
 std::string EncodeCheckpointManifest(const CheckpointManifest& manifest) {
   char buffer[512];
-  std::string out = "{\"version\":1,\"fingerprint\":\"";
+  std::string out = "{\"version\":2,\"fingerprint\":\"";
   out += obs::JsonEscape(manifest.fingerprint);
   out += "\"";
   std::snprintf(
       buffer, sizeof(buffer),
-      ",\"shard\":%d,\"shard_count\":%d,\"worker\":%d,\"processes\":%d"
-      ",\"range_begin\":%" PRIu64 ",\"range_end\":%" PRIu64
-      ",\"completed\":%" PRIu64 ",\"results_bytes\":%" PRIu64
-      ",\"metrics_bytes\":%" PRIu64 ",\"timeline_bytes\":%" PRIu64
-      ",\"peak_rss_kb\":%" PRIu64 "}\n",
-      manifest.shard, manifest.shard_count, manifest.worker,
-      manifest.processes, manifest.range_begin, manifest.range_end,
-      manifest.completed, manifest.results_bytes, manifest.metrics_bytes,
-      manifest.timeline_bytes, manifest.peak_rss_kb);
+      ",\"shard\":%d,\"shard_count\":%d,\"range_begin\":%" PRIu64
+      ",\"range_end\":%" PRIu64 ",\"completed\":%" PRIu64
+      ",\"results_bytes\":%" PRIu64 ",\"metrics_bytes\":%" PRIu64
+      ",\"timeline_bytes\":%" PRIu64 ",\"peak_rss_kb\":%" PRIu64 "}\n",
+      manifest.shard, manifest.shard_count, manifest.range_begin,
+      manifest.range_end, manifest.completed, manifest.results_bytes,
+      manifest.metrics_bytes, manifest.timeline_bytes, manifest.peak_rss_kb);
   out += buffer;
   return out;
 }
 
 bool DecodeCheckpointManifest(std::string_view text,
                               CheckpointManifest* manifest) {
-  constexpr std::string_view kHeader = "{\"version\":1,\"fingerprint\":\"";
+  constexpr std::string_view kHeader = "{\"version\":2,\"fingerprint\":\"";
   if (text.substr(0, kHeader.size()) != kHeader) return false;
   std::size_t pos = kHeader.size();
   CheckpointManifest parsed;
@@ -68,10 +66,9 @@ bool DecodeCheckpointManifest(std::string_view text,
     std::uint64_t value = 0;
   };
   Field fields[] = {
-      {"shard"},        {"shard_count"},   {"worker"},
-      {"processes"},    {"range_begin"},   {"range_end"},
-      {"completed"},    {"results_bytes"}, {"metrics_bytes"},
-      {"timeline_bytes"}, {"peak_rss_kb"},
+      {"shard"},         {"shard_count"},    {"range_begin"},
+      {"range_end"},     {"completed"},      {"results_bytes"},
+      {"metrics_bytes"}, {"timeline_bytes"}, {"peak_rss_kb"},
   };
   for (Field& field : fields) {
     if (!ParseU64Field(text, &pos, field.key, &field.value)) return false;
@@ -79,15 +76,13 @@ bool DecodeCheckpointManifest(std::string_view text,
 
   parsed.shard = static_cast<int>(fields[0].value);
   parsed.shard_count = static_cast<int>(fields[1].value);
-  parsed.worker = static_cast<int>(fields[2].value);
-  parsed.processes = static_cast<int>(fields[3].value);
-  parsed.range_begin = fields[4].value;
-  parsed.range_end = fields[5].value;
-  parsed.completed = fields[6].value;
-  parsed.results_bytes = fields[7].value;
-  parsed.metrics_bytes = fields[8].value;
-  parsed.timeline_bytes = fields[9].value;
-  parsed.peak_rss_kb = fields[10].value;
+  parsed.range_begin = fields[2].value;
+  parsed.range_end = fields[3].value;
+  parsed.completed = fields[4].value;
+  parsed.results_bytes = fields[5].value;
+  parsed.metrics_bytes = fields[6].value;
+  parsed.timeline_bytes = fields[7].value;
+  parsed.peak_rss_kb = fields[8].value;
   // The field parsers are lenient (integers may wrap, narrow or carry
   // leading zeros; trailing bytes are not looked at): the manifest is
   // canonical only if encoding what was parsed reproduces it byte for byte,

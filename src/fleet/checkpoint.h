@@ -7,8 +7,8 @@
 
 namespace kwikr::fleet {
 
-/// Per-worker checkpoint manifest: the durable record of how far a shard
-/// worker has progressed and how many spill bytes that progress covers.
+/// Per-shard checkpoint manifest: the durable record of how far a shard has
+/// progressed and how many spill bytes that progress covers.
 ///
 /// Written atomically (tmp + rename) after every flushed chunk, so at any
 /// kill point the manifest describes a prefix of the spill files that ends
@@ -16,7 +16,6 @@ namespace kwikr::fleet {
 /// offsets and continues from `completed`; anything past the offsets (torn
 /// lines from the killed chunk) is dropped and re-run.
 struct CheckpointManifest {
-  int version = 1;
   /// Digest of everything that shapes per-item results (seed, item count,
   /// scenario parameters, shard count, which payloads are enabled...).
   /// Resume and merge refuse a manifest whose fingerprint disagrees — a
@@ -24,21 +23,22 @@ struct CheckpointManifest {
   std::string fingerprint;
   int shard = 0;
   int shard_count = 1;
-  int worker = 0;
-  int processes = 1;
   std::uint64_t range_begin = 0;
   std::uint64_t range_end = 0;
-  /// Next item index to run; `range_end` when the worker is finished.
+  /// Next item index to run; `range_end` when the shard is finished.
   std::uint64_t completed = 0;
   std::uint64_t results_bytes = 0;
   std::uint64_t metrics_bytes = 0;
   std::uint64_t timeline_bytes = 0;
-  /// Worker-process VmHWM at the last checkpoint, for the flat-memory gate.
+  /// Process VmHWM at the last checkpoint, for the flat-memory gate.
   std::uint64_t peak_rss_kb = 0;
 
   [[nodiscard]] bool done() const { return completed == range_end; }
 };
 
+/// One JSON line headed `{"version":2,...`. Version 1 manifests (which
+/// also carried a worker index and process count) do not decode, so a spill
+/// directory written before the format change is refused, never misread.
 std::string EncodeCheckpointManifest(const CheckpointManifest& manifest);
 bool DecodeCheckpointManifest(std::string_view text,
                               CheckpointManifest* manifest);

@@ -1,15 +1,13 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
-#include <mutex>
-#include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "fleet/thread_pool.h"
 
 namespace kwikr::fleet {
 
@@ -21,73 +19,63 @@ inline int ResolveJobs(int jobs) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-/// One task that threw instead of producing a result.
-struct TaskFailure {
-  std::size_t index = 0;
-  std::string error;
-};
-
-/// Outcome of a fleet run: one result slot per task, ordered by task index
-/// (never by completion order), plus the tasks that failed. A failed task's
-/// slot holds a default-constructed Result.
-template <typename Result>
-struct FleetReport {
-  std::vector<Result> results;
-  std::vector<TaskFailure> failures;
-  [[nodiscard]] bool ok() const { return failures.empty(); }
-};
-
 /// Runs `fn(index)` for every index in [0, tasks) on `jobs` workers and
-/// collects the returned values.
+/// returns the values in index order (never in completion order).
 ///
 /// Determinism contract: the output is bit-identical for every worker count
-/// because (a) each task writes only its own pre-sized slot, (b) tasks must
-/// derive all randomness from their index (seed with `rng.Fork(index)`,
-/// never from shared mutable state), and (c) failures are reported sorted
-/// by index. `jobs <= 1` (after ResolveJobs) executes inline on the calling
-/// thread — the serial path spawns no threads at all.
+/// because (a) each task writes only its own pre-sized slot, and (b) tasks
+/// must derive all randomness from their index (seed with `rng.Fork(index)`,
+/// never from shared mutable state). `jobs <= 1` (after ResolveJobs)
+/// executes inline on the calling thread — the serial path spawns no
+/// threads at all. Otherwise `min(jobs, tasks)` threads claim indices from
+/// one atomic counter until none are left.
 ///
-/// Exception isolation: a throwing task records a TaskFailure instead of
-/// tearing down the run; every other task still executes.
+/// Failure rule: every task runs; then, if any threw, RunFleet rethrows
+/// the exception of the lowest-index task that threw — the same one for
+/// any worker count. A caller that must outlive a failing task catches
+/// inside the task.
 template <typename Fn>
 auto RunFleet(std::size_t tasks, int jobs, Fn&& fn)
-    -> FleetReport<decltype(fn(std::size_t{0}))> {
+    -> std::vector<decltype(fn(std::size_t{0}))> {
   using Result = decltype(fn(std::size_t{0}));
   static_assert(!std::is_same_v<Result, bool>,
                 "std::vector<bool> packs results into shared bits, so "
                 "parallel slot writes would race — return int instead");
-  FleetReport<Result> report;
-  report.results.resize(tasks);
-
-  std::mutex failures_mutex;
+  std::vector<Result> results(tasks);
+  std::vector<std::exception_ptr> errors(tasks);
   auto run_one = [&](std::size_t index) {
     try {
-      report.results[index] = fn(index);
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(failures_mutex);
-      report.failures.push_back(TaskFailure{index, e.what()});
+      results[index] = fn(index);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(failures_mutex);
-      report.failures.push_back(TaskFailure{index, "non-standard exception"});
+      errors[index] = std::current_exception();
     }
   };
 
-  const auto workers = static_cast<std::size_t>(ResolveJobs(jobs));
-  if (workers <= 1 || tasks <= 1) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(ResolveJobs(jobs)), tasks);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < tasks; ++i) run_one(i);
   } else {
-    ThreadPool pool(static_cast<int>(std::min(workers, tasks)));
-    for (std::size_t i = 0; i < tasks; ++i) {
-      pool.Submit([&run_one, i] { run_one(i); });
+    std::atomic<std::size_t> next{0};
+    auto claim = [&] {
+      for (std::size_t i = next++; i < tasks; i = next++) run_one(i);
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    try {
+      for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(claim);
+    } catch (const std::system_error&) {
+      // Out of threads: the calling thread drains whatever the started
+      // ones have not claimed, and every started thread is still joined.
+      claim();
     }
-    pool.Wait();
+    for (std::thread& thread : threads) thread.join();
   }
 
-  std::sort(report.failures.begin(), report.failures.end(),
-            [](const TaskFailure& a, const TaskFailure& b) {
-              return a.index < b.index;
-            });
-  return report;
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
 }
 
 }  // namespace kwikr::fleet

@@ -3,26 +3,27 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "fleet/checkpoint.h"
 #include "obs/metrics.h"
 
 namespace kwikr::fleet {
 
-/// Multi-process shard runner: the layer above the thread pool.
+/// Shard runner: the spill-and-checkpoint layer above RunFleet.
 ///
 /// RunFleet parallelizes one process across threads but holds every result
 /// in RAM; a 10^6-call sweep is memory-bound long before it is CPU-bound.
-/// The shard runner forks worker processes (plus an explicit `--shard k/n`
-/// mode so independent machines can take disjoint slices), streams each
-/// worker's per-item results to spill files as canonical JSONL instead of
-/// accumulating them, and checkpoints progress so a killed sweep resumes
-/// from the last completed chunk. Merging is hierarchical — item chunk →
-/// worker spill → shard → global — and every payload's merge rule is
-/// order-free (results concatenate in index order, metrics registries merge
-/// associatively/commutatively, timeline lines concatenate in index order),
-/// so the merged artifacts are byte-identical for any worker x shard split.
+/// The shard runner walks this invocation's slice of the population in
+/// chunks (an explicit `--shard k/n` mode lets independent machines take
+/// disjoint slices), streams each chunk's per-item results to spill files
+/// as canonical JSONL instead of accumulating them, and checkpoints
+/// progress so a killed sweep resumes from the last completed chunk. The
+/// chunk function parallelizes a chunk across threads itself. Merging is
+/// hierarchical — item chunk → shard spill → global — and every payload's
+/// merge rule is order-free (results concatenate in index order, metrics
+/// registries merge associatively/commutatively, timeline lines concatenate
+/// in index order), so the merged artifacts are byte-identical for any
+/// shard split and any thread count.
 
 /// `--shard k/n`: this invocation owns global shard `index` of `count`.
 struct ShardSpec {
@@ -61,7 +62,6 @@ using ChunkFn = std::function<ChunkOutput(std::uint64_t begin,
 struct ShardRunnerConfig {
   std::uint64_t total_items = 0;  ///< global population, across all shards.
   ShardSpec shard;
-  int processes = 1;  ///< forked workers; 1 runs inline (no fork).
   std::string spill_dir;
   /// Items per checkpoint chunk: the RAM high-water mark and the resume
   /// granularity. Results beyond the last completed chunk are re-run.
@@ -77,7 +77,7 @@ struct ShardRunStatus {
   std::string error;
   std::uint64_t items_done = 0;     ///< completed in this shard's spills.
   std::uint64_t items_resumed = 0;  ///< of those, skipped via checkpoints.
-  std::uint64_t peak_worker_rss_kb = 0;  ///< max VmHWM across workers.
+  std::uint64_t peak_rss_kb = 0;    ///< process VmHWM.
 };
 
 struct SpillPaths {
@@ -86,34 +86,28 @@ struct SpillPaths {
   std::string timeline;
   std::string manifest;
 };
-SpillPaths WorkerSpillPaths(const std::string& spill_dir, ShardSpec shard,
-                            int worker);
+/// `<spill_dir>/shard{k}of{n}.{results,metrics,timeline}.jsonl` and
+/// `.manifest.json`.
+SpillPaths ShardSpillPaths(const std::string& spill_dir, ShardSpec shard);
 
 class ShardRunner {
  public:
   ShardRunner(ShardRunnerConfig config, ChunkFn chunk_fn);
 
-  /// Runs this invocation's shard: forks `processes` workers (inline when
-  /// 1), waits for all of them, and reports a dead child — which call range
-  /// it owned, and the signal or exit status that took it down — instead of
-  /// hanging on the merge barrier. Does NOT merge; call MergeShardSpills
-  /// once every shard of the sweep is complete.
-  ShardRunStatus Run();
-
-  /// One worker's chunk loop, in this process — the unit tests' (and the
-  /// forked children's) entry point. `stop_after_chunks` simulates a kill
-  /// at a chunk boundary: the worker checkpoints that many chunks and
+  /// Runs this invocation's shard as one chunk loop in this process,
+  /// holding an exclusive lock on the shard's spill for the duration. A
+  /// chunk that throws fails the run with its call range and a `--resume`
+  /// hint; the checkpoints before it stay intact. Does NOT merge; call
+  /// MergeShardSpills once every shard of the sweep is complete.
+  ///
+  /// `stop_after_chunks` simulates a kill at a chunk boundary (the resume
+  /// tests' entry point): the runner checkpoints that many chunks and
   /// returns with ok=true but items_done < range size.
-  ShardRunStatus RunWorkerInline(int worker,
-                                 std::uint64_t stop_after_chunks = ~0ull);
+  ShardRunStatus Run(std::uint64_t stop_after_chunks = ~0ull);
 
  private:
   ShardRunnerConfig config_;
   ChunkFn chunk_fn_;
-  /// Set (to getpid()) just before forking workers; a forked worker whose
-  /// getppid() stops matching this is an orphan of a killed sweep and exits
-  /// at the next chunk boundary instead of writing on.
-  long parent_pid_ = 0;
 };
 
 /// Hierarchical merge consumers. All optional; unset payloads are skipped.
@@ -121,7 +115,7 @@ struct MergeConsumer {
   /// Called once per item in ascending global index order.
   std::function<void(std::uint64_t index, std::string_view line)>
       on_result_line;
-  /// Every worker's serialized chunk registries merge in here.
+  /// Every shard's serialized chunk registries merge in here.
   obs::MetricsRegistry* metrics = nullptr;
   /// Timeline bytes, streamed in global index order.
   std::function<void(std::string_view)> on_timeline;
@@ -134,14 +128,14 @@ struct MergeStatus {
   bool complete = false;
   std::string error;
   std::uint64_t items = 0;
-  std::uint64_t peak_worker_rss_kb = 0;
+  std::uint64_t peak_rss_kb = 0;  ///< max over the shards' manifests.
 };
 
 /// Merges every shard's spill files in `config.spill_dir` into the
 /// consumers, validating manifests (fingerprint, ranges, completion) and
 /// spill integrity (byte counts, line boundaries, the per-line index
-/// sequence) along the way. Byte-identical output for any worker x shard
-/// split of the same fingerprinted sweep.
+/// sequence) along the way. Byte-identical output for any shard split of
+/// the same fingerprinted sweep.
 MergeStatus MergeShardSpills(const ShardRunnerConfig& config,
                              const MergeConsumer& consumer);
 

@@ -88,13 +88,12 @@ class HistogramCell {
 /// Thread-safe registry of labeled instruments.
 ///
 /// Get* returns a stable reference: hold it across a hot loop instead of
-/// re-resolving the (name, labels) key per event. The intended fleet pattern
-/// mirrors fleet::FleetMetrics — each worker records into its own registry
-/// and merges once when its task finishes. Every merge rule (counter add,
-/// histogram bin add, gauge max) is associative and commutative, so the
-/// merged registry — and its serialized Prometheus text — is bit-identical
-/// for any worker count and completion order, provided the per-task values
-/// themselves are task-deterministic.
+/// re-resolving the (name, labels) key per event. The intended fleet pattern:
+/// each worker records into its own registry and merges once when its task
+/// finishes. Every merge rule (counter add, histogram bin add, gauge max) is
+/// associative and commutative, so the merged registry — and its serialized
+/// Prometheus text — is bit-identical for any worker count and completion
+/// order, provided the per-task values themselves are task-deterministic.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

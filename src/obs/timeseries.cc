@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "obs/exporters.h"
@@ -131,13 +130,8 @@ void SeriesSampler::EmitCounters(ChromeTraceWriter& writer) const {
 
 PostmortemMonitor::PostmortemMonitor(sim::EventLoop& loop,
                                      SeriesSampler& sampler,
-                                     FlightRecorder* recorder, Config config,
-                                     std::string dump_path)
-    : loop_(loop),
-      sampler_(sampler),
-      recorder_(recorder),
-      config_(config),
-      dump_path_(std::move(dump_path)) {
+                                     FlightRecorder* recorder, Config config)
+    : loop_(loop), sampler_(sampler), recorder_(recorder), config_(config) {
   if (recorder_ != nullptr && config_.retransmit_storm > 0) {
     recorder_->SetListener(
         [this](const FlightEvent& event) { OnFlightEvent(event); });
@@ -189,15 +183,6 @@ void PostmortemMonitor::Trigger(const char* reason, double value,
           reason, sim::ToMillis(loop_.now()), value, threshold);
   if (recorder_ != nullptr) dump_ += recorder_->ToJsonl();
   dump_ += sampler_.ToJsonl();
-  if (!dump_path_.empty()) {
-    std::ofstream out(dump_path_, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << dump_;
-    } else {
-      std::fprintf(stderr, "postmortem: cannot write %s\n",
-                   dump_path_.c_str());
-    }
-  }
 }
 
 }  // namespace kwikr::obs

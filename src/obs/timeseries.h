@@ -126,10 +126,9 @@ class PostmortemMonitor {
   };
 
   /// `recorder` may be null (then the storm trigger is inert and the dump
-  /// carries only series). `dump_path` empty keeps the dump in memory only.
+  /// carries only series).
   PostmortemMonitor(sim::EventLoop& loop, SeriesSampler& sampler,
-                    FlightRecorder* recorder, Config config,
-                    std::string dump_path = {});
+                    FlightRecorder* recorder, Config config);
 
   PostmortemMonitor(const PostmortemMonitor&) = delete;
   PostmortemMonitor& operator=(const PostmortemMonitor&) = delete;
@@ -153,7 +152,6 @@ class PostmortemMonitor {
   SeriesSampler& sampler_;
   FlightRecorder* recorder_;
   Config config_;
-  std::string dump_path_;
   std::deque<double> tq_window_;
   std::deque<sim::Time> retransmits_;
   bool triggered_ = false;

@@ -33,11 +33,9 @@ double MeanOfRange(const std::vector<double>& series, std::size_t begin,
   return sum / static_cast<double>(end - begin);
 }
 
-/// The experiment-wide labels plus the per-call arm tag.
-obs::Labels WithArm(const obs::Labels& base, bool kwikr) {
-  obs::Labels labels = base;
-  labels.emplace_back("arm", kwikr ? "kwikr" : "baseline");
-  return labels;
+/// The per-call arm tag every per-call series carries.
+obs::Labels ArmLabels(bool kwikr) {
+  return {{"arm", kwikr ? "kwikr" : "baseline"}};
 }
 
 /// Rng stream id for the fault injector, disjoint from every per-entity
@@ -86,8 +84,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   if (config.faults.any()) {
     injector = std::make_unique<faults::FaultInjector>(
         testbed.loop(), config.faults,
-        sim::Rng(config.seed).Fork(kFaultRngStream), metrics,
-        config.metric_labels);
+        sim::Rng(config.seed).Fork(kFaultRngStream), metrics);
     injector->AttachChannel(testbed.channel());
     injector->AttachAccessPoint(bss.ap());
     injector->AttachWan(bss.downlink());
@@ -151,7 +148,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     // deterministic.
     obs::HistogramCell* innovation_hist = nullptr;
     if (metrics != nullptr) {
-      const obs::Labels arm = WithArm(config.metric_labels, cc.kwikr);
+      const obs::Labels arm = ArmLabels(cc.kwikr);
       obs::HistogramCell* tq_hist =
           &metrics->GetHistogram("probe_tq_ms", arm, {0.0, 500.0, 250});
       obs::HistogramCell* tc_hist =
@@ -186,7 +183,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     obs::Counter* rx_packets = nullptr;
     obs::Counter* rx_retry_frames = nullptr;
     if (metrics != nullptr) {
-      const obs::Labels arm = WithArm(config.metric_labels, cc.kwikr);
+      const obs::Labels arm = ArmLabels(cc.kwikr);
       rx_packets = &metrics->GetCounter("media_rx_packets_total", arm);
       rx_retry_frames =
           &metrics->GetCounter("media_rx_retry_frames_total", arm);
@@ -281,11 +278,11 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   if (config.sample_queue) {
     obs::HistogramCell* queue_hist =
         metrics != nullptr
-            ? &metrics->GetHistogram("ap_be_queue_depth", config.metric_labels,
+            ? &metrics->GetHistogram("ap_be_queue_depth", {},
                                      {0.0, 300.0, 300})
             : nullptr;
     queue_sampler = std::make_unique<sim::PeriodicTimer>(
-        testbed.loop(), config.queue_sample_interval,
+        testbed.loop(), sim::Millis(10),
         [&queue_samples, &bss, queue_hist] {
           const std::size_t depth = bss.ap().DownlinkQueueLength(
               wifi::AccessCategory::kBestEffort);
@@ -312,19 +309,16 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   };
   ProbeLatch probe_latch;
   if (config.timeline.enabled) {
-    if (config.timeline.flight_recorder) {
-      recorder =
-          std::make_unique<obs::FlightRecorder>(config.timeline.recorder_capacity);
-      bss.ap().SetFlightRecorder(recorder.get());
-      for (auto& call : calls) call.prober->SetFlightRecorder(recorder.get());
-      for (const auto* flows :
-           {&testbed.cross_flows(), &testbed.unmanaged_flows()}) {
-        for (const auto& flow : *flows) {
-          flow->sender->SetFlightRecorder(recorder.get());
-        }
+    recorder = std::make_unique<obs::FlightRecorder>();
+    bss.ap().SetFlightRecorder(recorder.get());
+    for (auto& call : calls) call.prober->SetFlightRecorder(recorder.get());
+    for (const auto* flows :
+         {&testbed.cross_flows(), &testbed.unmanaged_flows()}) {
+      for (const auto& flow : *flows) {
+        flow->sender->SetFlightRecorder(recorder.get());
       }
-      if (injector != nullptr) injector->SetFlightRecorder(recorder.get());
     }
+    if (injector != nullptr) injector->SetFlightRecorder(recorder.get());
 
     obs::SeriesSampler::Config sampler_config;
     sampler_config.interval = config.timeline.interval;
@@ -418,8 +412,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
           config.timeline.anomaly_retransmit_storm;
       monitor_config.divergence_factor = config.timeline.anomaly_divergence;
       monitor = std::make_unique<obs::PostmortemMonitor>(
-          testbed.loop(), *sampler, recorder.get(), monitor_config,
-          config.timeline.postmortem_path);
+          testbed.loop(), *sampler, recorder.get(), monitor_config);
       if (!calls.empty() && config.timeline.anomaly_divergence > 0.0) {
         rtc::MediaReceiver* receiver0 = calls.front().receiver.get();
         obs::PostmortemMonitor* monitor_ptr = monitor.get();
@@ -484,18 +477,16 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
   // Environment-wide deterministic scrape: EDCA contention, per-AC AP queue
   // outcomes, and TCP cross-traffic health.
   if (metrics != nullptr) {
-    const obs::Labels& env = config.metric_labels;
-    metrics->GetCounter("experiments_total", env).Add();
-    metrics->GetCounter("wifi_collisions_total", env)
+    metrics->GetCounter("experiments_total").Add();
+    metrics->GetCounter("wifi_collisions_total")
         .Add(testbed.channel().collisions());
-    metrics->GetCounter("wifi_txop_continuations_total", env)
+    metrics->GetCounter("wifi_txop_continuations_total")
         .Add(testbed.channel().txop_continuations());
-    metrics->GetGauge("wifi_busy_fraction_max", env)
+    metrics->GetGauge("wifi_busy_fraction_max")
         .Max(testbed.channel().BusyFraction());
     for (int ac = 0; ac < wifi::kNumAccessCategories; ++ac) {
       const auto category = static_cast<wifi::AccessCategory>(ac);
-      obs::Labels labels = env;
-      labels.emplace_back("ac", wifi::Name(category));
+      const obs::Labels labels = {{"ac", wifi::Name(category)}};
       metrics->GetCounter("ap_queue_drops_total", labels)
           .Add(bss.ap().DownlinkQueueDrops(category));
       metrics->GetCounter("ap_retry_drops_total", labels)
@@ -520,7 +511,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     }
     // Wired-side packets for stations unknown to this AP (satellite of the
     // roaming faults): previously only a C++ accessor, now a real series.
-    metrics->GetCounter("ap_unroutable_drops_total", env)
+    metrics->GetCounter("ap_unroutable_drops_total")
         .Add(bss.ap().unroutable_drops());
     std::uint64_t retransmissions = 0;
     std::uint64_t tcp_timeouts = 0;
@@ -533,10 +524,10 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
         segments_acked += flow->sender->segments_acked();
       }
     }
-    metrics->GetCounter("tcp_retransmissions_total", env).Add(retransmissions);
-    metrics->GetCounter("tcp_timeouts_total", env).Add(tcp_timeouts);
-    metrics->GetCounter("tcp_segments_acked_total", env).Add(segments_acked);
-    metrics->GetCounter("cross_traffic_bytes_total", env)
+    metrics->GetCounter("tcp_retransmissions_total").Add(retransmissions);
+    metrics->GetCounter("tcp_timeouts_total").Add(tcp_timeouts);
+    metrics->GetCounter("tcp_segments_acked_total").Add(segments_acked);
+    metrics->GetCounter("cross_traffic_bytes_total")
         .Add(static_cast<std::uint64_t>(result.cross_traffic_bytes));
   }
 
@@ -565,7 +556,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     // Per-arm deterministic scrape: probing outcomes (including every
     // discard reason), estimator activity, and call quality sketches.
     if (metrics != nullptr) {
-      const obs::Labels arm = WithArm(config.metric_labels, cc.kwikr);
+      const obs::Labels arm = ArmLabels(cc.kwikr);
       metrics->GetCounter("calls_total", arm).Add();
       metrics->GetCounter("probe_rounds_total", arm).Add(m.probe_stats.rounds);
       metrics->GetCounter("probe_valid_total", arm).Add(m.probe_stats.valid);

@@ -76,9 +76,9 @@ struct ExperimentConfig {
   core::MeasurementMode measurement_mode =
       core::MeasurementMode::kArrivalTimes;
 
-  // Ground-truth sampling of the AP Best-Effort downlink queue.
+  // Ground-truth sampling of the AP Best-Effort downlink queue, every
+  // 10 ms.
   bool sample_queue = false;
-  sim::Duration queue_sample_interval = sim::Millis(10);
 
   // Fault plan (default: inert). When any fault is configured a
   // faults::FaultInjector is built from `seed` (dedicated rng stream) and
@@ -94,8 +94,6 @@ struct ExperimentConfig {
   // events, sim-time histograms, gauges of sim-derived values), so a merged
   // registry is bit-identical across worker counts.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Extra labels stamped on every series (e.g. {{"env", "3"}}).
-  obs::Labels metric_labels = {};
   /// Attach an obs::EventLoopMetricsProbe (per-event-type counts) to the
   /// loop. Requires `metrics`.
   bool profile_loop = false;
@@ -103,9 +101,9 @@ struct ExperimentConfig {
   /// Sim-time timeline telemetry: a SeriesSampler over the experiment's
   /// probe surfaces (per-AC AP queue, qdisc sojourn, channel busy, TCP
   /// flight/cwnd/pacing, rate-control state, ping-pair Tq/Ta/Tc, GE fault
-  /// state), an optional FlightRecorder on every drop/retransmit/discard
+  /// state), a 512-event FlightRecorder on every drop/retransmit/discard
   /// path, and optional anomaly triggers that freeze + dump both as a
-  /// postmortem. Everything sampled is sim-derived, so the serialized
+  /// postmortem (returned in ExperimentMetrics::postmortem). Everything sampled is sim-derived, so the serialized
   /// timeline is bit-identical across reruns and fleet worker counts.
   /// Disabled by default: no timer events, no recorder attach — the run's
   /// event schedule is exactly the pre-timeline one.
@@ -113,15 +111,10 @@ struct ExperimentConfig {
     bool enabled = false;
     sim::Duration interval = sim::Millis(10);
     std::size_t series_capacity = 2048;     ///< rows before decimation.
-    bool flight_recorder = true;            ///< attach the event ring.
-    std::size_t recorder_capacity = 512;    ///< events retained.
     // Anomaly triggers (each 0 = disabled; see obs::PostmortemMonitor).
     double anomaly_tq_p95_ms = 0.0;
     std::uint64_t anomaly_retransmit_storm = 0;
     double anomaly_divergence = 0.0;
-    /// Where a triggered postmortem is written (empty = in-memory only,
-    /// returned via ExperimentMetrics::postmortem).
-    std::string postmortem_path;
     /// Where the run's Chrome trace is written after the run (empty =
     /// none): the retained series as counter tracks plus the flight
     /// recorder's events as instants, all on the simulated-time axis.

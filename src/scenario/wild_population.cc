@@ -1,12 +1,12 @@
 #include "scenario/wild_population.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
+#include "fleet/fleet_runner.h"
 #include "sim/rng.h"
 #include "stats/percentile.h"
 #include "stats/welch.h"
@@ -124,67 +124,44 @@ WildCallResult RunOneEnvironment(const WildConfig& config, std::size_t index,
                    RunArm(experiment, config, index, /*kwikr=*/true, metrics));
 }
 
-/// Runs `fn(local_registry)` with the merge-once-per-task observability
-/// pattern: a worker-local registry merged into the stage when the task
-/// completes, plus the wall-clock "task_wall_ms" summary.
-template <typename Fn>
-auto RunObservedTask(bool observed, fleet::FleetMetrics* stage, Fn&& fn) {
-  if (!observed) return fn(static_cast<obs::MetricsRegistry*>(nullptr));
-  const auto wall_begin = std::chrono::steady_clock::now();
-  obs::MetricsRegistry local;
-  auto result = fn(&local);
-  stage->MergeRegistry(local);
-  stats::RunningSummary wall;
-  wall.Add(std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - wall_begin)
-               .count());
-  stage->MergeSummary("task_wall_ms", wall);
-  return result;
-}
-
 /// The per-index loop behind RunWildPopulation and RunWildRange: runs the
 /// environments at global indices [begin, begin + count) on the fleet
 /// runner. Every per-environment input (seed fork, fault-matrix row) keys
 /// on the global index, so any slicing reproduces the same per-call
-/// results. Each task's worker-local registry merges into a stage (the
-/// caller's FleetMetrics when given), and the stage into `config.metrics`
-/// once the run is done — unless `all_or_nothing` and an environment
-/// failed, which throws first so a failed slice contributes no metrics.
-fleet::FleetReport<WildCallResult> RunEnvironments(const WildConfig& config,
-                                                   std::uint64_t begin,
-                                                   std::size_t count,
-                                                   bool all_or_nothing) {
+/// results. Each task records into its own registry and merges it into a
+/// local stage when it completes; the stage merges into `config.metrics`
+/// only once every environment succeeded, so a failed run contributes no
+/// metrics. A throwing environment fails the run as "wild call N: ...".
+std::vector<WildCallResult> RunEnvironments(const WildConfig& config,
+                                            std::uint64_t begin,
+                                            std::size_t count) {
   const sim::Rng base_rng(config.base_seed);
-  const bool observed =
-      config.metrics != nullptr || config.fleet_metrics != nullptr;
-  fleet::FleetMetrics local_stage;
-  fleet::FleetMetrics* stage =
-      config.fleet_metrics != nullptr ? config.fleet_metrics : &local_stage;
-  auto report = fleet::RunFleet(count, config.jobs, [&](std::size_t local) {
+  obs::MetricsRegistry stage;
+  auto results = fleet::RunFleet(count, config.jobs, [&](std::size_t local) {
     const auto index = static_cast<std::size_t>(begin + local);
-    return RunObservedTask(observed, stage,
-                           [&](obs::MetricsRegistry* registry) {
-                             return RunOneEnvironment(
-                                 config, index, base_rng.Fork(index), registry);
-                           });
+    try {
+      if (config.metrics == nullptr) {
+        return RunOneEnvironment(config, index, base_rng.Fork(index), nullptr);
+      }
+      obs::MetricsRegistry registry;
+      WildCallResult result =
+          RunOneEnvironment(config, index, base_rng.Fork(index), &registry);
+      stage.Merge(registry);
+      return result;
+    } catch (const std::exception& e) {
+      throw std::runtime_error("wild call " + std::to_string(index) + ": " +
+                               e.what());
+    }
   });
-  if (all_or_nothing && !report.ok()) {
-    const fleet::TaskFailure& first = report.failures.front();
-    throw std::runtime_error("wild call " +
-                             std::to_string(begin + first.index) + ": " +
-                             first.error);
-  }
-  if (config.metrics != nullptr) config.metrics->Merge(stage->registry());
-  return report;
+  if (config.metrics != nullptr) config.metrics->Merge(stage);
+  return results;
 }
 
 }  // namespace
 
 WildResults RunWildPopulation(const WildConfig& config) {
-  auto report = RunEnvironments(
-      config, 0, static_cast<std::size_t>(std::max(config.calls, 0)),
-      /*all_or_nothing=*/false);
-  return WildResults{std::move(report.results), std::move(report.failures)};
+  return WildResults{RunEnvironments(
+      config, 0, static_cast<std::size_t>(std::max(config.calls, 0)))};
 }
 
 void RunWildRange(
@@ -192,11 +169,10 @@ void RunWildRange(
     const std::function<void(std::uint64_t index, WildCallResult&& result)>&
         sink) {
   if (end <= begin) return;
-  auto report = RunEnvironments(config, begin,
-                                static_cast<std::size_t>(end - begin),
-                                /*all_or_nothing=*/true);
-  for (std::size_t local = 0; local < report.results.size(); ++local) {
-    sink(begin + local, std::move(report.results[local]));
+  std::vector<WildCallResult> results =
+      RunEnvironments(config, begin, static_cast<std::size_t>(end - begin));
+  for (std::size_t local = 0; local < results.size(); ++local) {
+    sink(begin + local, std::move(results[local]));
   }
 }
 

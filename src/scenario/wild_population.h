@@ -6,8 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "fleet/fleet_metrics.h"
-#include "fleet/fleet_runner.h"
+#include "obs/metrics.h"
 #include "scenario/call_experiment.h"
 
 namespace kwikr::scenario {
@@ -53,15 +52,12 @@ struct WildConfig {
   /// only trades resolution, never the any-`jobs` byte-identity.
   std::size_t timeline_series_capacity = 512;
 
-  /// Optional observability sinks. Each environment accumulates simulated
+  /// Optional observability sink. Each environment accumulates simulated
   /// counters/histograms into its own worker-local registry which is merged
   /// once when the task completes — since every merge rule is associative
   /// and commutative, the aggregate in `metrics` is bit-identical for any
-  /// `jobs`. Wall-clock per-task timing is inherently nondeterministic and
-  /// therefore goes to `fleet_metrics` as the "task_wall_ms" summary, never
-  /// into the registry.
+  /// `jobs`. A run that throws merges nothing into it.
   obs::MetricsRegistry* metrics = nullptr;
-  fleet::FleetMetrics* fleet_metrics = nullptr;
 };
 
 /// Outcome of one environment (paired calls).
@@ -92,13 +88,12 @@ struct WildCallResult {
 
 struct WildResults {
   std::vector<WildCallResult> calls;
-  /// Environments that threw instead of completing (their `calls` slots are
-  /// default-constructed). Deterministic like the results themselves.
-  std::vector<fleet::TaskFailure> failures;
 };
 
 /// Runs the population; deterministic in `config.base_seed` alone —
-/// `config.jobs` changes wall-clock time, never the results.
+/// `config.jobs` changes wall-clock time, never the results. Throws
+/// std::runtime_error("wild call N: ...") if any environment fails, naming
+/// the lowest failing index for any `jobs`.
 WildResults RunWildPopulation(const WildConfig& config);
 
 /// Streaming variant for the shard runner: runs the contiguous population
@@ -108,9 +103,9 @@ WildResults RunWildPopulation(const WildConfig& config);
 /// matrix likewise keys on the global index), so any partition of [0,
 /// calls) into ranges reproduces RunWildPopulation's per-call results
 /// bit-identically. `config.calls` is ignored; `config.jobs` still
-/// parallelizes within the slice. Throws std::runtime_error if any
-/// environment in the slice fails — a spilled range must be all-or-nothing
-/// so checkpoints never record a hole.
+/// parallelizes within the slice. Fails like RunWildPopulation, before the
+/// sink sees any result — a spilled range must be all-or-nothing so
+/// checkpoints never record a hole.
 void RunWildRange(
     const WildConfig& config, std::uint64_t begin, std::uint64_t end,
     const std::function<void(std::uint64_t index, WildCallResult&& result)>&

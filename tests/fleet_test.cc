@@ -3,73 +3,28 @@
 #include <atomic>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "fleet/fleet_metrics.h"
+#include "faults/fault_spec.h"
 #include "fleet/fleet_runner.h"
-#include "fleet/thread_pool.h"
+#include "obs/metrics.h"
 #include "scenario/wild_population.h"
 #include "sim/rng.h"
 #include "stats/histogram.h"
 #include "stats/percentile.h"
-#include "stats/summary.h"
 
 namespace kwikr::fleet {
 namespace {
 
-// ----------------------------------------------------------- ThreadPool ----
-
-TEST(ThreadPool, StartsAndStopsWithoutTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-}
-
-TEST(ThreadPool, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.threads(), 1);
-}
-
-TEST(ThreadPool, ExecutesEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
 // ------------------------------------------------------------- RunFleet ----
 
 TEST(RunFleet, ResultsAreOrderedByTaskIndex) {
-  const auto report =
+  const auto results =
       RunFleet(64, 8, [](std::size_t i) { return static_cast<int>(i) * 3; });
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.results.size(), 64u);
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    EXPECT_EQ(report.results[i], static_cast<int>(i) * 3);
+  ASSERT_EQ(results.size(), 64u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i], static_cast<int>(i) * 3);
   }
 }
 
@@ -80,85 +35,38 @@ TEST(RunFleet, SerialAndParallelProduceIdenticalResults) {
   };
   const auto serial = RunFleet(40, 1, task);
   const auto parallel = RunFleet(40, 8, task);
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.results[i], parallel.results[i]);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_DOUBLE_EQ(serial[i], parallel[i]);
   }
 }
 
-TEST(RunFleet, ExceptionIsIsolatedToItsTask) {
-  const auto report = RunFleet(10, 4, [](std::size_t i) -> int {
-    if (i == 3) throw std::runtime_error("env 3 exploded");
-    return static_cast<int>(i) + 1;
-  });
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].index, 3u);
-  EXPECT_EQ(report.failures[0].error, "env 3 exploded");
-  EXPECT_FALSE(report.ok());
-  // Every other task still completed; the failed slot holds the default.
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(report.results[i], i == 3 ? 0 : static_cast<int>(i) + 1);
-  }
-}
-
-TEST(RunFleet, FailuresAreSortedByIndexForAnyWorkerCount) {
-  const auto report = RunFleet(20, 8, [](std::size_t i) -> int {
-    if (i % 3 == 0) throw std::runtime_error("boom");
-    return 1;
-  });
-  ASSERT_EQ(report.failures.size(), 7u);
-  for (std::size_t f = 1; f < report.failures.size(); ++f) {
-    EXPECT_LT(report.failures[f - 1].index, report.failures[f].index);
+TEST(RunFleet, RethrowsLowestIndexFailureForAnyWorkerCount) {
+  for (const int jobs : {1, 4, 8}) {
+    std::atomic<int> ran{0};
+    try {
+      RunFleet(20, jobs, [&ran](std::size_t i) -> int {
+        ran.fetch_add(1);
+        if (i % 3 == 2) {
+          throw std::runtime_error("env " + std::to_string(i) + " exploded");
+        }
+        return 1;
+      });
+      ADD_FAILURE() << "jobs=" << jobs << ": RunFleet returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "env 2 exploded") << "jobs=" << jobs;
+    }
+    // The failure is reported only after every task ran.
+    EXPECT_EQ(ran.load(), 20) << "jobs=" << jobs;
   }
 }
 
 TEST(RunFleet, ZeroJobsMeansHardwareConcurrency) {
   EXPECT_GE(ResolveJobs(0), 1);
-  const auto report =
+  const auto results =
       RunFleet(8, 0, [](std::size_t i) { return static_cast<int>(i); });
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.results.back(), 7);
-}
-
-// --------------------------------------------------------- FleetMetrics ----
-
-TEST(FleetMetrics, ConcurrentMergesMatchSerialReduction) {
-  FleetMetrics metrics;
-  constexpr int kTasks = 32;
-  RunFleet(kTasks, 8, [&metrics](std::size_t i) -> int {
-    sim::Rng rng = sim::Rng(11).Fork(i);
-    stats::RunningSummary local;
-    stats::Histogram histogram({0.0, 100.0, 64});
-    for (int n = 0; n < 50; ++n) {
-      const double sample = rng.Uniform(0.0, 100.0);
-      local.Add(sample);
-      histogram.Add(sample);
-    }
-    metrics.MergeSummary("uniform", local);
-    metrics.MergeHistogram("uniform", histogram);
-    return 0;
-  });
-
-  // Serial reference over the same forked streams.
-  stats::RunningSummary expected;
-  for (int i = 0; i < kTasks; ++i) {
-    sim::Rng rng = sim::Rng(11).Fork(i);
-    for (int n = 0; n < 50; ++n) expected.Add(rng.Uniform(0.0, 100.0));
-  }
-  const stats::RunningSummary merged = metrics.Summary("uniform");
-  EXPECT_EQ(merged.count(), expected.count());
-  EXPECT_NEAR(merged.mean(), expected.mean(), 1e-9);
-  EXPECT_NEAR(merged.stddev(), expected.stddev(), 1e-9);
-  EXPECT_DOUBLE_EQ(merged.min(), expected.min());
-  EXPECT_DOUBLE_EQ(merged.max(), expected.max());
-  EXPECT_EQ(metrics.HistogramSketch("uniform").count(), expected.count());
-}
-
-TEST(FleetMetrics, UnknownKeyReturnsEmptyReducers) {
-  FleetMetrics metrics;
-  EXPECT_EQ(metrics.Summary("missing").count(), 0);
-  EXPECT_EQ(metrics.Confusion("missing").total(), 0);
-  EXPECT_EQ(metrics.HistogramSketch("missing").count(), 0);
+  ASSERT_EQ(results.size(), 8u);
+  EXPECT_EQ(results.back(), 7);
 }
 
 // ------------------------------------------------------------ Histogram ----
@@ -213,8 +121,6 @@ TEST(FleetDeterminism, WildPopulationIsIdenticalAcrossWorkerCounts) {
   config.jobs = 8;
   const scenario::WildResults parallel = scenario::RunWildPopulation(config);
 
-  ASSERT_TRUE(serial.failures.empty());
-  ASSERT_TRUE(parallel.failures.empty());
   ASSERT_EQ(serial.calls.size(), 8u);
   ASSERT_EQ(parallel.calls.size(), 8u);
   for (std::size_t i = 0; i < serial.calls.size(); ++i) {
@@ -232,6 +138,35 @@ TEST(FleetDeterminism, WildPopulationIsIdenticalAcrossWorkerCounts) {
     EXPECT_DOUBLE_EQ(a.kwikr_rtt_p50_ms, b.kwikr_rtt_p50_ms);
     EXPECT_EQ(a.wmm_enabled, b.wmm_enabled);
     EXPECT_EQ(a.cross_stations, b.cross_stations);
+  }
+}
+
+TEST(WildPopulation, ThrowingEnvironmentFailsTheRun) {
+  // Calls 1 and 3 draw a fault row whose Gilbert-Elliott chain refuses a
+  // zero mean dwell time. The run must fail on the lowest such call for any
+  // worker count — not hand back zero-filled results for calls 1 and 3 —
+  // and must merge no metrics.
+  faults::FaultSpec broken;
+  broken.ge.enable = true;
+  broken.ge.mean_good_ms = 0.0;
+  for (const int jobs : {1, 4}) {
+    scenario::WildConfig config;
+    config.calls = 4;
+    config.base_seed = 321;
+    config.call_duration = sim::Seconds(2);
+    config.jobs = jobs;
+    config.fault_matrix = {faults::FaultSpec{}, broken};
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+    try {
+      scenario::RunWildPopulation(config);
+      ADD_FAILURE() << "jobs=" << jobs << ": the population returned normally";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("wild call 1: ", 0), 0u) << what;
+      EXPECT_NE(what.find("GilbertElliott"), std::string::npos) << what;
+    }
+    EXPECT_EQ(registry.size(), 0u) << "jobs=" << jobs;
   }
 }
 

@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -34,9 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet_metrics.h"
 #include "fleet/fleet_runner.h"
 #include "obs/exporters.h"
+#include "obs/metrics.h"
 #include "scenario/fault_scenario.h"
 
 namespace fs = std::filesystem;
@@ -152,44 +153,50 @@ int main(int argc, char** argv) {
 
   // One fleet task per scenario; results are ordered by index regardless of
   // worker interleaving, so the output bytes cannot depend on --jobs. Each
-  // scenario's registry merges into a shared FleetMetrics stage; the merge
+  // scenario's registry merges into a shared stage registry; the merge
   // order varies with worker interleaving but the merged contents (and the
-  // --metrics-out exposition) do not.
+  // --metrics-out exposition) do not. A task catches its own scenario's
+  // exception, so every failing scenario is listed, not only the first.
   struct ScenarioRun {
     std::string summary;
     std::string timeline;
     std::string postmortem;
     std::string postmortem_reason;
+    std::string error;
   };
   const bool want_metrics = !metrics_out.empty();
-  kwikr::fleet::FleetMetrics stage;
-  const auto report = kwikr::fleet::RunFleet(
+  kwikr::obs::MetricsRegistry stage;
+  const auto runs = kwikr::fleet::RunFleet(
       scenarios.size(), jobs, [&](std::size_t i) {
-        kwikr::scenario::FaultScenarioArtifacts a;
         ScenarioRun run;
-        run.summary =
-            ToCanonicalJson(kwikr::scenario::RunFaultScenario(parsed[i], &a));
-        run.timeline = std::move(a.timeline_jsonl);
-        run.postmortem = std::move(a.postmortem);
-        run.postmortem_reason = std::move(a.postmortem_reason);
-        if (want_metrics) stage.MergeRegistry(a.registry);
+        try {
+          kwikr::scenario::FaultScenarioArtifacts a;
+          run.summary = ToCanonicalJson(
+              kwikr::scenario::RunFaultScenario(parsed[i], &a));
+          run.timeline = std::move(a.timeline_jsonl);
+          run.postmortem = std::move(a.postmortem);
+          run.postmortem_reason = std::move(a.postmortem_reason);
+          if (want_metrics) stage.Merge(a.registry);
+        } catch (const std::exception& e) {
+          run.error = e.what();
+        }
         return run;
       });
-  if (!report.failures.empty()) {
-    for (const auto& failure : report.failures) {
-      std::fprintf(stderr, "golden_runner: scenario %zu threw: %s\n",
-                   failure.index, failure.error.c_str());
-    }
-    return 1;
+  bool threw = false;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].error.empty()) continue;
+    std::fprintf(stderr, "golden_runner: scenario %zu threw: %s\n", i,
+                 runs[i].error.c_str());
+    threw = true;
   }
+  if (threw) return 1;
 
-  if (want_metrics &&
-      !kwikr::obs::WritePrometheus(stage.registry(), metrics_out)) {
+  if (want_metrics && !kwikr::obs::WritePrometheus(stage, metrics_out)) {
     return 2;
   }
   if (!timeline_out.empty()) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const ScenarioRun& run = report.results[i];
+      const ScenarioRun& run = runs[i];
       const std::string stem = scenarios[i].stem().string();
       if (!run.timeline.empty() &&
           !WriteFile(timeline_out / (stem + ".timeline.jsonl"),
@@ -214,7 +221,7 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::string& got = report.results[i].summary;
+    const std::string& got = runs[i].summary;
     fs::path expected_path = scenarios[i];
     expected_path.replace_extension(".expected.json");
 

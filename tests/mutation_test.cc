@@ -125,10 +125,14 @@ TEST(SeededMutation, SpillAndManifestCodecsNeverCrash) {
          }
        });
 
+  // The second shard of a two-shard sweep, part way through its range.
   fleet::CheckpointManifest manifest;
   manifest.fingerprint = "seed=1010 calls=\"24\"\tshards=2";
+  manifest.shard = 1;
+  manifest.shard_count = 2;
+  manifest.range_begin = 12;
   manifest.range_end = 24;
-  manifest.completed = 8;
+  manifest.completed = 20;
   Fuzz({fleet::EncodeCheckpointManifest(manifest)}, 20'000,
        [](const std::string& text) {
          fleet::CheckpointManifest decoded;

@@ -461,18 +461,5 @@ TEST(EventLoopProbeTest, NoProbeMeansNoObservation) {
   EXPECT_EQ(loop.executed(), 1u);
 }
 
-// --------------------------------------------------------- fleet bridge ---
-
-TEST(FleetMetricsTest, MergeRegistryAccumulates) {
-  fleet::FleetMetrics fleet_metrics;
-  obs::MetricsRegistry worker_a;
-  obs::MetricsRegistry worker_b;
-  worker_a.GetCounter("done_total").Add(2);
-  worker_b.GetCounter("done_total").Add(3);
-  fleet_metrics.MergeRegistry(worker_a);
-  fleet_metrics.MergeRegistry(worker_b);
-  EXPECT_EQ(fleet_metrics.registry().GetCounter("done_total").value(), 5u);
-}
-
 }  // namespace
 }  // namespace kwikr
