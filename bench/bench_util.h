@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/exporters.h"
@@ -77,11 +79,24 @@ inline bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Parses `<flag> N` from argv; returns `fallback` when absent/malformed.
-inline int ParseIntFlag(int argc, char** argv, const char* flag,
-                        int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
+/// Parses `<flag> N` from argv; returns `fallback` when the flag is absent.
+/// A value that is not a whole decimal integer >= `min` ("banana", "-5",
+/// "10ms", or no value at all) exits with status 2 and a message naming the
+/// flag.
+inline int ParseIntFlag(int argc, char** argv, const char* flag, int fallback,
+                        int min) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    const char* text = i + 1 < argc ? argv[i + 1] : "";
+    const char* end = text + std::strlen(text);
+    int value = 0;
+    const auto [last, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || last != end || value < min) {
+      std::fprintf(stderr, "%s wants an integer >= %d, got '%s'\n", flag, min,
+                   text);
+      std::exit(2);
+    }
+    return value;
   }
   return fallback;
 }
@@ -89,7 +104,7 @@ inline int ParseIntFlag(int argc, char** argv, const char* flag,
 /// Parses the shared `--jobs N` knob of the fleet-backed benches
 /// (1 = serial, 0 = one worker per hardware thread).
 inline int ParseJobs(int argc, char** argv, int fallback = 1) {
-  return ParseIntFlag(argc, argv, "--jobs", fallback);
+  return ParseIntFlag(argc, argv, "--jobs", fallback, 0);
 }
 
 // --------------------------------------------------- observability flags ---
@@ -168,8 +183,7 @@ inline unsigned long PeakRssKb() {
 /// When a serial (jobs=1) reference time is supplied, the achieved speedup
 /// is included and echoed human-readably. When the total dispatched-event
 /// count is supplied, simulator events/sec rides along (the scheduler
-/// throughput achieved inside a full scenario, complementing
-/// micro_eventloop's synthetic number).
+/// throughput achieved inside a full scenario).
 inline void PrintFleetTiming(const char* bench, int jobs, double wall_ms,
                              long calls, double serial_wall_ms = 0.0,
                              std::uint64_t events = 0) {

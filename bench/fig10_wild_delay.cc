@@ -22,7 +22,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -159,39 +161,58 @@ void WarnBelowFloor(std::uint64_t below_floor, std::uint64_t total_calls,
       call_seconds);
 }
 
+/// The integer flags, each read once (ParseIntFlag exits 2 on a malformed
+/// value).
+struct IntFlags {
+  int calls = 0;
+  int call_seconds = 0;
+  int jobs = 0;
+  int timeline_interval_ms = 0;
+  int checkpoint_every = 0;
+};
+
+/// `k/n` with 0 <= k < n and nothing after it.
+bool ParseShard(const char* text, fleet::ShardSpec* shard) {
+  const char* end = text + std::strlen(text);
+  const auto [slash, index_error] = std::from_chars(text, end, shard->index);
+  if (index_error != std::errc() || slash == end || *slash != '/') {
+    return false;
+  }
+  const auto [last, count_error] =
+      std::from_chars(slash + 1, end, shard->count);
+  return count_error == std::errc() && last == end && shard->index >= 0 &&
+         shard->index < shard->count;
+}
+
 /// --spill-dir mode: shard-runner execution + hierarchical merge.
-int RunSpillMode(int argc, char** argv, const char* spill_dir) {
+int RunSpillMode(int argc, char** argv, const IntFlags& flags,
+                 const char* spill_dir) {
   scenario::WildConfig wild;
-  const int calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
+  const int calls = flags.calls;
   wild.base_seed = 1010;
-  const int call_seconds =
-      bench::ParseIntFlag(argc, argv, "--call-seconds", 60);
+  const int call_seconds = flags.call_seconds;
   wild.call_duration = sim::Seconds(call_seconds);
-  wild.jobs = bench::ParseJobs(argc, argv);
+  wild.jobs = flags.jobs;
   const char* timeline_out =
       bench::ParseStringFlag(argc, argv, "--timeline-out");
   wild.timeline =
       timeline_out != nullptr || bench::HasFlag(argc, argv, "--timeline");
-  wild.timeline_interval = sim::Millis(
-      bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10));
+  wild.timeline_interval = sim::Millis(flags.timeline_interval_ms);
   const bool metrics_on = bench::MetricsRequested(argc, argv) ||
                           bench::HasFlag(argc, argv, "--metrics");
 
   fleet::ShardRunnerConfig config;
-  config.total_items = static_cast<std::uint64_t>(std::max(calls, 0));
+  config.total_items = static_cast<std::uint64_t>(calls);
   const char* shard_text =
       bench::ParseStringFlag(argc, argv, "--shard", "0/1");
-  if (std::sscanf(shard_text, "%d/%d", &config.shard.index,
-                  &config.shard.count) != 2 ||
-      config.shard.count < 1 || config.shard.index < 0 ||
-      config.shard.index >= config.shard.count) {
+  if (!ParseShard(shard_text, &config.shard)) {
     std::fprintf(stderr, "--shard wants k/n with 0 <= k < n, got '%s'\n",
                  shard_text);
     return 2;
   }
   config.spill_dir = spill_dir;
-  config.checkpoint_every = static_cast<std::uint64_t>(std::max(
-      bench::ParseIntFlag(argc, argv, "--checkpoint-every", 256), 1));
+  config.checkpoint_every =
+      static_cast<std::uint64_t>(flags.checkpoint_every);
   config.resume = bench::HasFlag(argc, argv, "--resume");
   // Everything that shapes per-call bytes; deliberately NOT --jobs or
   // --checkpoint-every — those repartition work without changing any
@@ -203,9 +224,7 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
                   "metrics=%d;timeline=%d;interval_ms=%d",
                   calls, static_cast<unsigned long long>(wild.base_seed),
                   call_seconds, config.shard.count, metrics_on ? 1 : 0,
-                  wild.timeline ? 1 : 0,
-                  bench::ParseIntFlag(argc, argv, "--timeline-interval-ms",
-                                      10));
+                  wild.timeline ? 1 : 0, flags.timeline_interval_ms);
     config.fingerprint = fp;
   }
 
@@ -367,12 +386,15 @@ int main(int argc, char** argv) {
                 "cross-traffic.\nPaper: cross-traffic dominates; worst 5% of "
                 "calls see >= ~98 ms of cross-traffic delay.");
 
-  // The timeline sampler re-arms every interval; a zero interval would
-  // re-arm it at its own tick forever.
-  if (bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10) < 1) {
-    std::fprintf(stderr, "--timeline-interval-ms wants an integer >= 1\n");
-    return 2;
-  }
+  // Every integer flag is checked here, whichever mode reads it. The
+  // timeline sampler re-arms every interval; a zero interval would re-arm
+  // it at its own tick forever.
+  const IntFlags flags{
+      bench::ParseIntFlag(argc, argv, "--calls", 150, 0),
+      bench::ParseIntFlag(argc, argv, "--call-seconds", 60, 1),
+      bench::ParseJobs(argc, argv),
+      bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10, 1),
+      bench::ParseIntFlag(argc, argv, "--checkpoint-every", 256, 1)};
   if (bench::HasFlag(argc, argv, "--processes")) {
     std::fprintf(stderr,
                  "--processes is gone: a sweep runs in one process; use "
@@ -381,7 +403,7 @@ int main(int argc, char** argv) {
   }
   if (const char* spill_dir =
           bench::ParseStringFlag(argc, argv, "--spill-dir")) {
-    return RunSpillMode(argc, argv, spill_dir);
+    return RunSpillMode(argc, argv, flags, spill_dir);
   }
   if (bench::HasFlag(argc, argv, "--shard") ||
       bench::HasFlag(argc, argv, "--resume")) {
@@ -392,11 +414,10 @@ int main(int argc, char** argv) {
   }
 
   scenario::WildConfig config;
-  config.calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
+  config.calls = flags.calls;
   config.base_seed = 1010;
-  config.call_duration =
-      sim::Seconds(bench::ParseIntFlag(argc, argv, "--call-seconds", 60));
-  config.jobs = bench::ParseJobs(argc, argv);
+  config.call_duration = sim::Seconds(flags.call_seconds);
+  config.jobs = flags.jobs;
 
   // --metrics-out: merged per-environment registry; every value in it is a
   // simulated quantity, so the export is bit-identical for any --jobs.
@@ -408,8 +429,7 @@ int main(int argc, char** argv) {
   const char* timeline_out =
       bench::ParseStringFlag(argc, argv, "--timeline-out");
   config.timeline = timeline_out != nullptr;
-  config.timeline_interval = sim::Millis(
-      bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10));
+  config.timeline_interval = sim::Millis(flags.timeline_interval_ms);
 
   bench::WallTimer timer;
   const scenario::WildResults results = scenario::RunWildPopulation(config);
@@ -456,8 +476,7 @@ int main(int argc, char** argv) {
                 }
                 return measurable > 0 ? 100.0 * dominated / measurable : 0.0;
               }());
-  WarnBelowFloor(below_floor, results.calls.size(),
-                 bench::ParseIntFlag(argc, argv, "--call-seconds", 60));
+  WarnBelowFloor(below_floor, results.calls.size(), flags.call_seconds);
 
   std::printf("\n");
   double serial_wall_ms = 0.0;

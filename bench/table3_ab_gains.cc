@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
                 " p <= 0.1.");
 
   scenario::WildConfig config;
-  config.calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
+  config.calls = bench::ParseIntFlag(argc, argv, "--calls", 150, 0);
   config.base_seed = 1010;  // same population as Figure 10.
   config.call_duration = sim::Seconds(60);
   config.jobs = bench::ParseJobs(argc, argv);

@@ -15,10 +15,13 @@
 #      telemetry whose population byte-identity runs worker-local samplers
 #      in parallel, and the shard runner whose chunk functions run their
 #      calls on fleet threads).
-#   4. perf: Release-mode micro_eventloop + micro_channel smoke against the
-#      committed BENCH_eventloop.json / BENCH_channel.json — fails when the
-#      headline throughput regresses more than 20% or the dispatch / frame
-#      path allocates.
+#   4. bench: the fig10 sweep's determinism and memory gates on ./build —
+#      150 calls' --metrics-out and --timeline-out byte-identical between
+#      --jobs 1 and --jobs 8, timeline-on peak RSS at most 2.5x timeline-off,
+#      and the spill sweep's 1600-call peak RSS at most 1.35x its 400-call
+#      peak at --jobs 4, its percentiles byte-identical at --jobs 1. Exact
+#      work counts and zero-allocation checks are census_test's (tier-1);
+#      wall time belongs to benchmark/ and is never gated on one run.
 #
 # Usage: scripts/check.sh [--ci] [--no-tsan] [--no-bench]
 #   --ci  machine-readable per-step summary lines (CHECK-STEP|name|status)
@@ -126,17 +129,58 @@ step_tsan() {
   ctest --test-dir build-tsan -L fleet_shard --output-on-failure -j "$jobs"
 }
 
+# peak_rss_kb <file>: peak RSS of the last JSON record a bench printed.
+peak_rss_kb() {
+  grep -o '"peak_rss_kb":[0-9]*' "$1" | tail -1 | cut -d: -f2
+}
+
 step_bench() {
-  ensure_build_dir build-bench Release ""
-  cmake --build build-bench -j "$jobs" --target micro_eventloop micro_channel
-  ./build-bench/bench/micro_eventloop --quick --baseline BENCH_eventloop.json
-  if [[ -f BENCH_channel.json ]]; then
-    ./build-bench/bench/micro_channel --quick --baseline BENCH_channel.json
-  else
-    # Not silent for the same reason as the missing-eventloop baseline below.
-    echo "warning: BENCH_channel.json not committed; frame-path perf gate" \
-         "inactive — run scripts/bench.sh" >&2
-    ./build-bench/bench/micro_channel --quick
+  cmake --build build -j "$jobs" --target fig10_wild_delay
+  local fig10=./build/bench/fig10_wild_delay d=build/bench-gates
+  rm -rf "$d"
+  mkdir -p "$d"
+  "$fig10" --calls 150 --jobs 1 --metrics-out "$d/metrics_j1.prom" > /dev/null
+  "$fig10" --calls 150 --jobs 8 --metrics-out "$d/metrics_j8.prom" \
+    > "$d/plain.out"
+  cmp "$d/metrics_j1.prom" "$d/metrics_j8.prom"
+  "$fig10" --calls 150 --jobs 1 --timeline-out "$d/timeline_j1.jsonl" \
+    > /dev/null
+  "$fig10" --calls 150 --jobs 8 --timeline-out "$d/timeline_j8.jsonl" \
+    > "$d/timeline.out"
+  cmp "$d/timeline_j1.jsonl" "$d/timeline_j8.jsonl"
+  echo "fig10 metrics and timeline byte-identical between --jobs 1 and 8"
+
+  # The timeline run holds every call's series until the final
+  # concatenation; the per-call point budget keeps it under 2.5x.
+  local plain timeline
+  plain=$(peak_rss_kb "$d/plain.out")
+  timeline=$(peak_rss_kb "$d/timeline.out")
+  echo "peak RSS: timeline on ${timeline} kB, off ${plain} kB (bar: 2.5x)"
+  if (( timeline * 10 > plain * 25 )); then
+    echo "FAIL: timeline sampling more than 2.5x the peak RSS" >&2
+    return 1
+  fi
+
+  # Spill streaming holds peak RSS at the checkpoint chunk's high-water
+  # mark, so a 4x larger sweep must stay within 1.35x; in-RAM accumulation
+  # would grow it about linearly.
+  local run
+  for run in 400_j4 1600_j4 1600_j1; do
+    ensure_spill_dir "$d/$run"
+    "$fig10" --calls "${run%_j*}" --call-seconds 1 --jobs "${run#*_j}" \
+      --checkpoint-every 64 --spill-dir "$d/$run" > "$d/$run.out"
+  done
+  cmp "$d/1600_j1/merged/percentiles.json" \
+      "$d/1600_j4/merged/percentiles.json"
+  echo "spill percentiles byte-identical between --jobs 1 and 4"
+  local small large
+  small=$(peak_rss_kb "$d/400_j4.out")
+  large=$(peak_rss_kb "$d/1600_j4.out")
+  echo "peak RSS: spill ${large} kB @ 1600 calls, ${small} kB @ 400 calls" \
+       "(bar: 1.35x)"
+  if (( large * 100 > small * 135 )); then
+    echo "FAIL: spill streaming is no longer flat-memory" >&2
+    return 1
   fi
 }
 
@@ -149,14 +193,10 @@ else
   skip_step "tsan" "--no-tsan requested"
 fi
 
-if [[ "$run_bench" == 0 ]]; then
-  skip_step "bench" "--no-bench requested"
-elif [[ ! -f BENCH_eventloop.json ]]; then
-  # Not silent: a missing baseline means the perf gate is not protecting
-  # anything, and whoever reads the log should know that.
-  skip_step "bench" "BENCH_eventloop.json not committed; run scripts/bench.sh"
+if [[ "$run_bench" == 1 ]]; then
+  run_step "bench: fig10 --jobs byte-identity + peak-RSS ratios" step_bench
 else
-  run_step "perf: micro bench smoke vs committed baselines" step_bench
+  skip_step "bench" "--no-bench requested"
 fi
 
 if [[ "$ci" == 1 && -n "${GITHUB_STEP_SUMMARY:-}" ]]; then

@@ -1,4 +1,4 @@
-# Shared helpers for the repo's shell entry points (check.sh, bench.sh).
+# Shared helpers for the repo's shell entry points (check.sh, fleet_ci.sh).
 # Sourced, not executed.
 
 # ensure_build_dir <dir> <build_type> <sanitize>

@@ -15,7 +15,7 @@
 #      and require the merged artifacts to be byte-identical to the
 #      uninterrupted reference.
 #
-# Merged artifacts and the BENCH_fleet.json headline land in $ARTIFACT_DIR
+# Merged artifacts and the fleet_headline.json record land in $ARTIFACT_DIR
 # (default fleet-ci-artifacts/) for upload.
 set -euo pipefail
 
@@ -25,13 +25,13 @@ source scripts/common.sh
 jobs=$(nproc 2>/dev/null || echo 4)
 artifact_dir=${ARTIFACT_DIR:-fleet-ci-artifacts}
 
-ensure_build_dir build-bench Release ""
-cmake --build build-bench -j "$jobs" --target fig10_wild_delay
-fig10=./build-bench/bench/fig10_wild_delay
+ensure_build_dir build-release Release ""
+cmake --build build-release -j "$jobs" --target fig10_wild_delay
+fig10=./build-release/bench/fig10_wild_delay
 
 calls=600
 common=(--calls "$calls" --call-seconds 1 --metrics --timeline)
-d=build-bench/fleet-ci
+d=build-release/fleet-ci
 mkdir -p "$artifact_dir"
 
 echo "== split invariance: jobs 1 x 1 shard vs 4 x 2 vs 8 x 1 =="
@@ -77,7 +77,7 @@ done
 echo "kill + --resume converged to the uninterrupted artifacts"
 
 grep '^{"bench":"fleet_shard"' "$d/8x1.out" | tail -1 \
-  > "$artifact_dir/BENCH_fleet.json"
+  > "$artifact_dir/fleet_headline.json"
 cp "$d/1x1/merged/percentiles.json" "$d/1x1/merged/metrics.prom" \
    "$d/resume.out" "$artifact_dir/"
 echo "fleet_ci.sh: all green (artifacts in $artifact_dir/)"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
 #include <utility>
 
 #include "fleet/spill.h"
@@ -85,6 +86,25 @@ std::string ShardText(ShardSpec shard) {
   return std::to_string(shard.index) + "/" + std::to_string(shard.count);
 }
 
+/// Refuses a shard whose spill dir holds only the per-worker files that
+/// predate manifest version 2: running or merging past them would silently
+/// redo (or report pending forever) a sweep this version cannot read.
+/// Empty when the shard has a current manifest or no old one.
+std::string OldLayoutError(const std::string& spill_dir, ShardSpec shard) {
+  const std::string stem = spill_dir + "/shard" + std::to_string(shard.index) +
+                           "of" + std::to_string(shard.count);
+  const std::string old_manifest = stem + "_worker0.manifest.json";
+  std::error_code ec;
+  if (std::filesystem::exists(stem + ".manifest.json", ec) ||
+      !std::filesystem::exists(old_manifest, ec)) {
+    return {};
+  }
+  return "shard " + ShardText(shard) + ": " + old_manifest +
+         " is a per-worker spill layout that predates manifest version 2 — "
+         "this version can neither resume nor merge it; rerun the sweep "
+         "into a fresh spill dir";
+}
+
 /// Exclusive advisory lock on one shard's spill, held for the duration of
 /// its chunk loop. Two live invocations must never append to the same
 /// spill: a resumed run racing a still-running one would interleave lines
@@ -163,6 +183,10 @@ ShardRunStatus ShardRunner::Run(std::uint64_t stop_after_chunks) {
   const std::string where = "shard " + ShardText(config_.shard) + ": ";
   const ItemRange range = PartitionItems(
       config_.total_items, config_.shard.count, config_.shard.index);
+  if (std::string old = OldLayoutError(config_.spill_dir, config_.shard);
+      !old.empty()) {
+    return Fail(std::move(old));
+  }
   const SpillPaths paths = ShardSpillPaths(config_.spill_dir, config_.shard);
 
   ShardLock lock;
@@ -290,6 +314,10 @@ MergeStatus MergeShardSpills(const ShardRunnerConfig& config,
   for (int shard = 0; shard < config.shard.count; ++shard) {
     const ShardSpec spec{shard, config.shard.count};
     const std::string where = "shard " + ShardText(spec);
+    if (std::string old = OldLayoutError(config.spill_dir, spec);
+        !old.empty()) {
+      return fail("merge: " + std::move(old));
+    }
     const SpillPaths paths = ShardSpillPaths(config.spill_dir, spec);
     bool parse_failed = false;
     std::string error;

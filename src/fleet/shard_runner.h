@@ -98,7 +98,10 @@ class ShardRunner {
   /// holding an exclusive lock on the shard's spill for the duration. A
   /// chunk that throws fails the run with its call range and a `--resume`
   /// hint; the checkpoints before it stay intact. Does NOT merge; call
-  /// MergeShardSpills once every shard of the sweep is complete.
+  /// MergeShardSpills once every shard of the sweep is complete. A spill
+  /// dir holding this shard's pre-version-2 per-worker files
+  /// (`shard{k}of{n}_worker0.manifest.json`) and no current manifest fails
+  /// the run, as it fails the merge.
   ///
   /// `stop_after_chunks` simulates a kill at a chunk boundary (the resume
   /// tests' entry point): the runner checkpoints that many chunks and

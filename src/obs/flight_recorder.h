@@ -50,8 +50,8 @@ struct FlightEvent {
 /// Cost model: components hold a `FlightRecorder*` that is null by default,
 /// so a detached hook site is a single null check — 0 allocations, no time
 /// read, nothing. An attached Record() is a struct store into the
-/// preallocated ring (0 allocations per event; timeline_test proves it with
-/// the operator-new counter, and micro_channel's alloc gate keeps the frame
+/// preallocated ring (0 allocations per event; census_test proves it with
+/// the operator-new counter, and its saturated-channel check keeps the frame
 /// path honest).
 class FlightRecorder {
  public:

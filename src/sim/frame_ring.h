@@ -23,8 +23,8 @@ namespace kwikr::sim {
 /// queue that reaches depth N allocates O(log N) times total, ever. This
 /// deliberately does NOT reserve `capacity` upfront: contender queues
 /// default to a 512-frame bound but sit near-empty in most scenarios, and
-/// the simulator's small resident set is a feature (see BENCH_fig10.json
-/// peak_rss_kb).
+/// the simulator's small resident set is a feature (see the benchmark's
+/// peak_rss_mb).
 ///
 /// T may be move-only; elements live in raw aligned storage and are
 /// constructed/destroyed individually, so no default constructor is needed.

@@ -34,7 +34,7 @@ ContenderId Channel::CreateContender(OwnerId owner, AccessCategory ac,
   // contenders_.size() is a hard bound. Reserving here (setup time) keeps a
   // rare many-way tie late in a run from being the first to reach the
   // high-water mark — the steady state must never allocate (the invariant
-  // bench/micro_channel enforces with its operator-new counter).
+  // census_test enforces with its operator-new counter).
   winners_scratch_.reserve(contenders_.size());
   losers_scratch_.reserve(contenders_.size());
   in_flight_.reserve(contenders_.size());
@@ -151,7 +151,7 @@ void Channel::StartTransmissions(sim::Time start) {
   // counting contender freezes its backoff with the idle slots consumed so
   // far (see EdcaCore::Arbitrate). The winner/loser sets live in member
   // scratch vectors: after warm-up this function performs no allocation at
-  // all (see bench/micro_channel).
+  // all (see census_test).
   std::vector<ContenderId>& winners = winners_scratch_;
   winners.clear();
   edca_.Arbitrate(start, winners);

@@ -35,8 +35,9 @@ struct Frame {
 // sim::FrameRing cell, where growth copies cost sizeof(Frame) each. Growing
 // net::Packet grows both. If this fires, either shrink the new field, move
 // the payload behind an out-of-band side table, or consciously raise
-// InlineTask::kInlineCapacity (and re-run bench/micro_channel to see what the
-// extra bytes cost per frame hop).
+// InlineTask::kInlineCapacity (and run the benchmark's kernel.wifi.frame_ns
+// to see what the extra bytes cost per frame hop; census_test's
+// zero-allocation checks catch a closure that spills to the heap).
 static_assert(sizeof(Frame) + 3 * sizeof(void*) <=
                   sim::InlineTask::kInlineCapacity,
               "wifi::Frame grew past the budget for a [this, dest, frame] "

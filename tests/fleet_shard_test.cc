@@ -661,6 +661,27 @@ TEST(MergeShardSpills, IncompleteShardReportsPendingNotFailure) {
   EXPECT_FALSE(merged.status.error.empty());
 }
 
+TEST(ShardRunner, PreVersion2SpillLayoutIsRefusedNotIgnored) {
+  // A spill dir written before manifest version 2 holds per-worker files.
+  // Resuming next to them used to rerun the whole shard, and merging
+  // reported "pending" with success.
+  const std::string dir = TestDir("old_layout");
+  const std::string old_manifest = dir + "/shard0of1_worker0.manifest.json";
+  std::ofstream(old_manifest) << "{\"version\":1}\n";
+  fleet::ShardRunnerConfig config = SyntheticConfig(dir, 10);
+  config.resume = true;
+  const fleet::ShardRunStatus run =
+      fleet::ShardRunner(config, SyntheticChunk).Run();
+  const MergedArtifacts merged = MergeAll(config);
+  for (const std::string& error : {run.error, merged.status.error}) {
+    EXPECT_NE(error.find(old_manifest), std::string::npos) << error;
+    EXPECT_NE(error.find("predates manifest version 2"), std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(run.ok);
+  EXPECT_FALSE(merged.status.ok);
+}
+
 TEST(MergeShardSpills, TornCompletedSpillIsCorruptionNotPending) {
   const std::string dir = TestDir("merge_torn");
   const fleet::ShardRunnerConfig config = SyntheticConfig(dir, 10);

@@ -1,14 +1,11 @@
 // Sim-time timeline telemetry tests: SeriesSampler stride/decimation
-// determinism, FlightRecorder ring semantics and the zero-alloc recording
-// contract, PostmortemMonitor triggers, the scenario plumbing (timeline=
-// keys, artifacts overload), and the population-level byte-identity
-// guarantee across fleet worker counts.
+// determinism, FlightRecorder ring semantics (its zero-allocation check
+// lives in census_test), PostmortemMonitor triggers, the scenario plumbing
+// (timeline= keys, artifacts overload), and the population-level
+// byte-identity guarantee across fleet worker counts.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -18,26 +15,6 @@
 #include "scenario/fault_scenario.h"
 #include "scenario/wild_population.h"
 #include "sim/event_loop.h"
-
-namespace kwikr {
-namespace {
-
-// Global operator new/delete replacements counting heap allocations — the
-// proof that an attached FlightRecorder::Record is a plain struct store.
-// Atomic because fleet-backed tests in this binary run worker threads.
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-}  // namespace kwikr
-
-void* operator new(std::size_t size) {
-  kwikr::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kwikr {
 namespace {
@@ -147,18 +124,6 @@ TEST(FlightRecorderTest, RingRetainsNewestEventsOldestFirst) {
   for (std::size_t i = 0; i < window.size(); ++i) {
     EXPECT_EQ(window[i].value, 12 + i);  // events 12..19, oldest first.
   }
-}
-
-TEST(FlightRecorderTest, RecordDoesNotAllocate) {
-  obs::FlightRecorder recorder(64);  // ring preallocated here.
-  const std::size_t before =
-      g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 1000; ++i) {
-    recorder.Record(sim::Millis(i), obs::FlightEventKind::kQdiscAqmDrop,
-                    /*tag=*/2, static_cast<std::uint64_t>(i), "detail");
-  }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
-  EXPECT_EQ(recorder.recorded(), 1000u);
 }
 
 TEST(FlightRecorderTest, FreezeIsOneWayAndStopsRecording) {
