@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -70,6 +72,34 @@ inline std::FILE* OpenCsv(const char* kind) {
 }  // namespace internal
 
 // ------------------------------------------------ fleet execution flags ----
+
+/// Checks argv against a bench's accepted flags: `valued` flags, each
+/// followed by its value, and bare `switches`. Anything else — a misspelt
+/// flag such as "--call-second", which would otherwise be ignored in favour
+/// of the default — or a valued flag without its value exits with status 2
+/// and a message naming it. Call before any flag is used.
+inline void RejectUnknownFlags(
+    int argc, char** argv, std::initializer_list<std::string_view> valued,
+    std::initializer_list<std::string_view> switches = {}) {
+  const auto listed = [](std::initializer_list<std::string_view> flags,
+                         std::string_view arg) {
+    for (const std::string_view flag : flags) {
+      if (flag == arg) return true;
+    }
+    return false;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (listed(switches, argv[i])) continue;
+    if (!listed(valued, argv[i])) {
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      std::exit(2);
+    }
+    if (++i == argc) {
+      std::fprintf(stderr, "%s wants a value\n", argv[i - 1]);
+      std::exit(2);
+    }
+  }
+}
 
 /// True when `flag` (e.g. "--compare-serial") appears in argv.
 inline bool HasFlag(int argc, char** argv, const char* flag) {

@@ -36,7 +36,7 @@ int main() {
   cbr.packet_bytes = 1200;
   cbr.interval = sim::Millis(20);
   transport::UdpCbrSender call(testbed.loop(), testbed.ids(), cbr,
-                               [&bss1](net::Packet p) {
+                               [&bss1](net::Packet&& p) {
                                  bss1.SendFromWan(std::move(p));
                                });
   transport::UdpOwdReceiver owd(call_flow);

@@ -34,7 +34,7 @@ stats::RunningSummary MeasureAccessDelay(int contenders, std::uint8_t tos,
     wifi::Station* sp = &station;
     senders.push_back(std::make_unique<transport::UdpCbrSender>(
         testbed.loop(), testbed.ids(), cbr,
-        [sp](net::Packet p) { sp->Send(std::move(p)); }));
+        [sp](net::Packet&& p) { sp->Send(std::move(p)); }));
     senders.back()->Start();
   }
 

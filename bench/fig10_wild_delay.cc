@@ -401,6 +401,13 @@ int main(int argc, char** argv) {
                  "--jobs N for N worker threads\n");
     return 2;
   }
+  bench::RejectUnknownFlags(
+      argc, argv,
+      {"--calls", "--call-seconds", "--jobs", "--timeline-interval-ms",
+       "--checkpoint-every", "--spill-dir", "--shard", "--timeline-out",
+       "--metrics-out"},
+      {"--timeline", "--metrics", "--resume", "--merge-only",
+       "--compare-serial"});
   if (const char* spill_dir =
           bench::ParseStringFlag(argc, argv, "--spill-dir")) {
     return RunSpillMode(argc, argv, flags, spill_dir);

@@ -55,7 +55,7 @@ LabelledRun RunLoadStep(wifi::Band band, int flows, double udp_fraction,
         1200.0 * 8.0 / (udp_fraction * static_cast<double>(rate)));
     udp = std::make_unique<transport::UdpCbrSender>(
         testbed.loop(), testbed.ids(), cbr,
-        [&bss](net::Packet p) { bss.SendFromWan(std::move(p)); });
+        [&bss](net::Packet&& p) { bss.SendFromWan(std::move(p)); });
     udp->Start();
   }
   testbed.StartCrossTraffic();
@@ -173,6 +173,7 @@ std::size_t RunBand(wifi::Band band, const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::RejectUnknownFlags(argc, argv, {"--jobs", "--metrics-out"});
   bench::Header("Table 1 — congestion-detection confusion matrices",
                 "0..7 TCP cross flows; 30 labelled Ping-Pair measurements "
                 "per step;\nground truth: >= 90% non-empty AP queue samples.");

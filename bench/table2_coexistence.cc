@@ -103,6 +103,7 @@ GridResult RunGridCell(std::size_t index) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::RejectUnknownFlags(argc, argv, {"--jobs"}, {"--compare-serial"});
   bench::Header("Table 2 — co-existence of Kwikr and legacy calls",
                 "30 experiments x two simultaneous 2-min calls; mean rate "
                 "+- 95% CI (kbps).\nPaper: co-existence has no significant "

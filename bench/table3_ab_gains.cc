@@ -8,6 +8,8 @@
 using namespace kwikr;
 
 int main(int argc, char** argv) {
+  bench::RejectUnknownFlags(argc, argv, {"--calls", "--jobs", "--metrics-out"},
+                            {"--compare-serial"});
   bench::Header("Table 3 — bandwidth gains from the A/B deployment",
                 "Buckets by per-call 95th-pct cross-traffic delay.\n"
                 "Paper: gains grow with cross-traffic severity (3.3%..8.6%),"

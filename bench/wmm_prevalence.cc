@@ -64,6 +64,7 @@ bool DetectOnce(const ApModel& model, bool wmm, bool ambient,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::RejectUnknownFlags(argc, argv, {"--jobs", "--metrics-out"});
   bench::Header("Section 5.5 — WMM prioritization detection",
                 "Six AP models x 5 detection runs each; then a prevalence "
                 "survey over\n171 APs (77% WMM prior, the paper's measured "

@@ -29,7 +29,7 @@ int main() {
   sender_config.dst = client.address();
   sender_config.flow = call_flow;
   rtc::MediaSender sender(testbed.loop(), testbed.ids(), sender_config,
-                          [&bss](net::Packet p) {
+                          [&bss](net::Packet&& p) {
                             bss.SendFromWan(std::move(p));
                           });
 
@@ -38,10 +38,10 @@ int main() {
   receiver_config.dst = peer;
   receiver_config.flow = call_flow;
   rtc::MediaReceiver receiver(testbed.loop(), testbed.ids(), receiver_config,
-                              [&client](net::Packet p) {
+                              [&client](net::Packet&& p) {
                                 client.Send(std::move(p));
                               });
-  bss.RegisterWanEndpoint(peer, [&sender](net::Packet p, sim::Time at) {
+  bss.RegisterWanEndpoint(peer, [&sender](net::Packet&& p, sim::Time at) {
     sender.OnFeedback(p, at);
   });
 

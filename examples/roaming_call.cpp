@@ -35,7 +35,7 @@ int main() {
   sender_config.dst = client.address();
   sender_config.flow = call_flow;
   rtc::MediaSender sender(testbed.loop(), testbed.ids(), sender_config,
-                          [&serving](net::Packet p) {
+                          [&serving](net::Packet&& p) {
                             serving->SendFromWan(std::move(p));
                           });
   rtc::MediaReceiver::Config receiver_config;
@@ -43,10 +43,10 @@ int main() {
   receiver_config.dst = peer;
   receiver_config.flow = call_flow;
   rtc::MediaReceiver receiver(testbed.loop(), testbed.ids(), receiver_config,
-                              [&client](net::Packet p) {
+                              [&client](net::Packet&& p) {
                                 client.Send(std::move(p));
                               });
-  auto feedback = [&sender](net::Packet p, sim::Time at) {
+  auto feedback = [&sender](net::Packet&& p, sim::Time at) {
     sender.OnFeedback(p, at);
   };
   living_room.RegisterWanEndpoint(peer, feedback);

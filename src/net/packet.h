@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <type_traits>
 
@@ -105,6 +106,14 @@ static_assert(std::is_trivially_copyable_v<Packet>,
               "net::Packet must stay trivially copyable (POD header fields "
               "only): frame queues and event closures move it with "
               "memcpy-grade copies.");
+
+/// Egress of one hop: hands a packet to whatever carries it next (a wired
+/// link, a Wi-Fi station, a token bucket, ...). Every send-path hop takes
+/// the packet by rvalue reference and moves it on. It is copied only at
+/// the points DESIGN.md §11 lists: into a queue cell or a wifi::Frame, and
+/// out of a cell before a callee that may grow that queue runs. A caller
+/// that keeps its packet sends an explicit copy.
+using SendFn = std::function<void(Packet&&)>;
 
 /// Monotonic packet id source (per-simulation, passed around explicitly).
 class PacketIdAllocator {

@@ -14,7 +14,7 @@ WiredLink::~WiredLink() {
   for (const Jittered& jittered : jittered_) loop_.Cancel(jittered.id);
 }
 
-void WiredLink::Send(Packet packet) {
+void WiredLink::Send(Packet&& packet) {
   if (QueueFull()) {
     ++dropped_;
     return;

@@ -45,7 +45,7 @@ class WiredLink {
   WiredLink& operator=(const WiredLink&) = delete;
 
   /// Enqueues a packet; drops (and counts) when the queue is full.
-  void Send(Packet packet);
+  void Send(Packet&& packet);
 
   /// Fault-injection verdict for one packet, consulted after serialization
   /// (see faults::FaultInjector). `drop` loses the packet on the wire;

@@ -14,7 +14,7 @@ static_assert(sim::InlineTask::fits_inline<
               })>);
 
 MediaSender::MediaSender(sim::EventLoop& loop, net::PacketIdAllocator& ids,
-                         Config config, SendFn send)
+                         Config config, net::SendFn send)
     : loop_(loop),
       ids_(ids),
       config_(config),
@@ -65,7 +65,7 @@ void MediaSender::OnFeedback(const net::Packet& packet, sim::Time arrival) {
 }
 
 MediaReceiver::MediaReceiver(sim::EventLoop& loop, net::PacketIdAllocator& ids,
-                             Config config, SendFn send_feedback)
+                             Config config, net::SendFn send_feedback)
     : loop_(loop),
       ids_(ids),
       config_(config),

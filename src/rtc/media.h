@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "net/packet.h"
@@ -14,9 +13,6 @@
 #include "sim/time.h"
 
 namespace kwikr::rtc {
-
-/// Path egress for media/feedback packets.
-using SendFn = std::function<void(net::Packet)>;
 
 /// Paced real-time media sender (the remote Skype peer). Emits packets every
 /// `frame_interval` sized to the current target rate; the target follows the
@@ -36,7 +32,7 @@ class MediaSender {
   };
 
   MediaSender(sim::EventLoop& loop, net::PacketIdAllocator& ids, Config config,
-              SendFn send);
+              net::SendFn send);
 
   void Start();
   void Stop();
@@ -58,7 +54,7 @@ class MediaSender {
   sim::EventLoop& loop_;
   net::PacketIdAllocator& ids_;
   Config config_;
-  SendFn send_;
+  net::SendFn send_;
   sim::PeriodicTimer timer_;
   std::int64_t rate_bps_;
   std::uint64_t next_seq_ = 0;
@@ -96,7 +92,7 @@ class MediaReceiver {
   };
 
   MediaReceiver(sim::EventLoop& loop, net::PacketIdAllocator& ids,
-                Config config, SendFn send_feedback);
+                Config config, net::SendFn send_feedback);
 
   void Start();
   void Stop();
@@ -147,7 +143,7 @@ class MediaReceiver {
   sim::EventLoop& loop_;
   net::PacketIdAllocator& ids_;
   Config config_;
-  SendFn send_feedback_;
+  net::SendFn send_feedback_;
   sim::PeriodicTimer feedback_timer_;
   BandwidthEstimator estimator_;
   RateController controller_;

@@ -107,7 +107,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     sender_config.start_rate_bps = cc.start_rate_bps;
     call.sender = std::make_unique<rtc::MediaSender>(
         testbed.loop(), testbed.ids(), sender_config,
-        [&bss](net::Packet packet) { bss.SendFromWan(std::move(packet)); });
+        [&bss](net::Packet&& packet) { bss.SendFromWan(std::move(packet)); });
 
     rtc::MediaReceiver::Config receiver_config;
     receiver_config.src = call.station->address();
@@ -121,7 +121,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     wifi::Station* station = call.station;
     call.receiver = std::make_unique<rtc::MediaReceiver>(
         testbed.loop(), testbed.ids(), receiver_config,
-        [station](net::Packet packet) { station->Send(std::move(packet)); });
+        [station](net::Packet&& packet) { station->Send(std::move(packet)); });
 
     call.probe_transport = std::make_unique<StationProbeTransport>(
         testbed.loop(), testbed.ids(), *call.station, bss.ap().address());
@@ -210,7 +210,7 @@ ExperimentMetrics RunCallExperiment(const ExperimentConfig& config) {
     // Wired side: feedback reports reach the media sender.
     rtc::MediaSender* sender = call.sender.get();
     bss.RegisterWanEndpoint(
-        call.server, [sender](net::Packet packet, sim::Time arrival) {
+        call.server, [sender](net::Packet&& packet, sim::Time arrival) {
           sender->OnFeedback(packet, arrival);
         });
   }

@@ -43,7 +43,7 @@ Bss::Bss(sim::EventLoop& loop, wifi::Channel& channel,
       loop, link,
       net::WiredLink::Receiver::Member<&Bss::DeliverUplink>(this));
   ap_->SetWanForwarder(
-      [this](net::Packet packet) { uplink_->Send(std::move(packet)); });
+      [this](net::Packet&& packet) { uplink_->Send(std::move(packet)); });
 }
 
 wifi::Station& Bss::AddStation(net::Address address, std::int64_t rate_bps,
@@ -58,11 +58,12 @@ wifi::Station& Bss::AddStation(net::Address address, std::int64_t rate_bps,
 }
 
 void Bss::RegisterWanEndpoint(
-    net::Address address, std::function<void(net::Packet, sim::Time)> handler) {
+    net::Address address,
+    std::function<void(net::Packet&&, sim::Time)> handler) {
   endpoints_[address] = std::move(handler);
 }
 
-void Bss::SendFromWan(net::Packet packet) {
+void Bss::SendFromWan(net::Packet&& packet) {
   if (throttle_) {
     throttle_->Send(std::move(packet));
   } else {
@@ -74,7 +75,7 @@ transport::TokenBucket& Bss::InstallThrottle(
     transport::TokenBucket::Config cfg) {
   throttle_ = std::make_unique<transport::TokenBucket>(
       loop_, cfg,
-      [this](net::Packet packet) { downlink_->Send(std::move(packet)); });
+      [this](net::Packet&& packet) { downlink_->Send(std::move(packet)); });
   return *throttle_;
 }
 
@@ -115,20 +116,23 @@ std::vector<CrossFlow*> Testbed::AddTcpBulkFlows(
 
     flow->sender = std::make_unique<transport::TcpRenoSender>(
         loop_, flow->flow, server, station.address(), ids_,
-        [&bss](net::Packet packet) { bss.SendFromWan(std::move(packet)); },
+        [&bss](net::Packet&& packet) { bss.SendFromWan(std::move(packet)); },
         sender_config);
     flow->receiver = std::make_unique<transport::TcpRenoReceiver>(
         flow->flow, station.address(), server, ids_,
-        [&station](net::Packet packet) { station.Send(std::move(packet)); });
+        [&station](net::Packet&& packet) { station.Send(std::move(packet)); });
 
+    // Keyed to its flow: a segment reaches its own receiver only, not every
+    // receiver on the station.
     transport::TcpRenoReceiver* receiver = flow->receiver.get();
     station.AddReceiver(
         [receiver](const net::Packet& packet, sim::Time arrival) {
           receiver->OnSegment(packet, arrival);
-        });
+        },
+        flow->flow);
     transport::TcpRenoSender* sender = flow->sender.get();
     bss.RegisterWanEndpoint(
-        server, [sender](net::Packet packet, sim::Time /*arrival*/) {
+        server, [sender](net::Packet&& packet, sim::Time /*arrival*/) {
           sender->OnAck(packet);
         });
 

@@ -69,12 +69,13 @@ class Bss {
 
   /// Registers a wired-side endpoint: packets forwarded uplink whose
   /// destination matches are handed to `handler` after the WAN delay.
-  void RegisterWanEndpoint(net::Address address,
-                           std::function<void(net::Packet, sim::Time)> handler);
+  void RegisterWanEndpoint(
+      net::Address address,
+      std::function<void(net::Packet&&, sim::Time)> handler);
 
   /// Injects a packet from the wired side toward the AP downlink (through
   /// the WAN link and, if configured, the token-bucket throttle).
-  void SendFromWan(net::Packet packet);
+  void SendFromWan(net::Packet&& packet);
 
   /// Installs a token-bucket throttle on the wired downlink (Figure 9).
   /// Returns a reference for runtime SetRate calls.
@@ -102,7 +103,7 @@ class Bss {
   std::unique_ptr<net::WiredLink> uplink_;    // AP -> wired
   std::unique_ptr<transport::TokenBucket> throttle_;
   std::unordered_map<net::Address,
-                     std::function<void(net::Packet, sim::Time)>>
+                     std::function<void(net::Packet&&, sim::Time)>>
       endpoints_;
 };
 

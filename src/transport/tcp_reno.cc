@@ -8,7 +8,7 @@ namespace kwikr::transport {
 
 TcpSender::TcpSender(sim::EventLoop& loop, net::FlowId flow,
                      net::Address src, net::Address dst,
-                     net::PacketIdAllocator& ids, SendFn send,
+                     net::PacketIdAllocator& ids, net::SendFn send,
                      Config config)
     : loop_(loop),
       flow_(flow),
@@ -33,13 +33,13 @@ TcpSender::TcpSender(sim::EventLoop& loop, net::FlowId flow,
         static_cast<std::size_t>(config.max_in_flight) + 16;
     pacer_ = std::make_unique<TokenBucket>(
         loop, pacer_config,
-        [this](net::Packet packet) { send_(std::move(packet)); });
+        [this](net::Packet&& packet) { send_(std::move(packet)); });
   }
 }
 
 TcpSender::TcpSender(sim::EventLoop& loop, net::FlowId flow,
                      net::Address src, net::Address dst,
-                     net::PacketIdAllocator& ids, SendFn send)
+                     net::PacketIdAllocator& ids, net::SendFn send)
     : TcpSender(loop, flow, src, dst, ids, std::move(send), Config{}) {}
 
 TcpSender::~TcpSender() { Stop(); }
@@ -237,7 +237,7 @@ void TcpSender::OnAck(const net::Packet& ack) {
 
 TcpRenoReceiver::TcpRenoReceiver(net::FlowId flow, net::Address src,
                                  net::Address dst,
-                                 net::PacketIdAllocator& ids, SendFn send,
+                                 net::PacketIdAllocator& ids, net::SendFn send,
                                  std::int32_t ack_bytes)
     : flow_(flow),
       src_(src),
@@ -252,19 +252,24 @@ void TcpRenoReceiver::OnSegment(const net::Packet& segment, sim::Time arrival) {
     return;
   }
   const std::int64_t seq = segment.tcp.seq;
-  if (seq == cumulative_ && out_of_order_.empty()) {
-    // In-order fast path (the overwhelmingly common case): advancing the
-    // cumulative ACK directly skips a tree-node insert + immediate erase —
-    // i.e. a heap allocation — per segment.
+  const std::int64_t payload = segment.size_bytes - 40;  // approximate.
+  if (seq == cumulative_) {
+    // In order: take it and the buffered run it completes. Everything
+    // buffered is above cumulative_, so only the head can match.
     ++cumulative_;
-    bytes_ += segment.size_bytes - 40;  // approximate payload.
-  } else if (seq >= cumulative_) {
-    out_of_order_.insert(seq);
-    while (!out_of_order_.empty() && *out_of_order_.begin() == cumulative_) {
-      out_of_order_.erase(out_of_order_.begin());
+    bytes_ += payload;
+    while (out_of_order_head_ < out_of_order_.size() &&
+           out_of_order_[out_of_order_head_] == cumulative_) {
+      ++out_of_order_head_;
       ++cumulative_;
-      bytes_ += segment.size_bytes - 40;  // approximate payload.
+      bytes_ += payload;
     }
+    if (out_of_order_head_ == out_of_order_.size()) {
+      out_of_order_.clear();  // keeps the capacity.
+      out_of_order_head_ = 0;
+    }
+  } else if (seq > cumulative_) {
+    Buffer(seq);
   }
 
   net::Packet ack;
@@ -278,6 +283,27 @@ void TcpRenoReceiver::OnSegment(const net::Packet& segment, sim::Time arrival) {
   ack.tcp.ack = cumulative_;
   ack.tcp.is_ack = true;
   send_(std::move(ack));
+}
+
+void TcpRenoReceiver::Buffer(std::int64_t seq) {
+  // The segments after a hole mostly arrive in order: an append.
+  auto at = out_of_order_.end();
+  if (out_of_order_head_ < out_of_order_.size() &&
+      seq <= out_of_order_.back()) {
+    at = std::lower_bound(out_of_order_.begin() + out_of_order_head_,
+                          out_of_order_.end(), seq);
+    if (*at == seq) return;  // a duplicate.
+  }
+  if (out_of_order_head_ > 0 &&
+      out_of_order_.size() == out_of_order_.capacity()) {
+    // Full, with a drained prefix: reuse that room instead of growing.
+    const auto offset = at - out_of_order_.begin();
+    const auto head = static_cast<std::ptrdiff_t>(out_of_order_head_);
+    out_of_order_.erase(out_of_order_.begin(), out_of_order_.begin() + head);
+    out_of_order_head_ = 0;
+    at = out_of_order_.begin() + (offset - head);
+  }
+  out_of_order_.insert(at, seq);
 }
 
 }  // namespace kwikr::transport

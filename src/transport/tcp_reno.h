@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
@@ -13,10 +13,6 @@
 #include "transport/token_bucket.h"
 
 namespace kwikr::transport {
-
-/// Path egress used by transport endpoints: hands the packet to whatever
-/// carries it (a wired link, a Wi-Fi station, a token bucket, ...).
-using SendFn = std::function<void(net::Packet)>;
 
 /// Bulk-transfer TCP sender. This is the cross-traffic generator the paper
 /// uses throughout ("congestion in the form of TCP bulk transfers"). The
@@ -42,10 +38,10 @@ class TcpSender {
   };
 
   TcpSender(sim::EventLoop& loop, net::FlowId flow, net::Address src,
-            net::Address dst, net::PacketIdAllocator& ids, SendFn send,
+            net::Address dst, net::PacketIdAllocator& ids, net::SendFn send,
             Config config);
   TcpSender(sim::EventLoop& loop, net::FlowId flow, net::Address src,
-            net::Address dst, net::PacketIdAllocator& ids, SendFn send);
+            net::Address dst, net::PacketIdAllocator& ids, net::SendFn send);
 
   TcpSender(const TcpSender&) = delete;
   TcpSender& operator=(const TcpSender&) = delete;
@@ -98,7 +94,7 @@ class TcpSender {
   net::Address src_;
   net::Address dst_;
   net::PacketIdAllocator& ids_;
-  SendFn send_;
+  net::SendFn send_;
   Config config_;
 
   std::unique_ptr<CongestionControl> cc_;
@@ -144,7 +140,7 @@ using TcpRenoSender = TcpSender;
 class TcpRenoReceiver {
  public:
   TcpRenoReceiver(net::FlowId flow, net::Address src, net::Address dst,
-                  net::PacketIdAllocator& ids, SendFn send,
+                  net::PacketIdAllocator& ids, net::SendFn send,
                   std::int32_t ack_bytes = 40);
 
   /// Feed an incoming data segment.
@@ -156,15 +152,26 @@ class TcpRenoReceiver {
   [[nodiscard]] std::int64_t bytes_received() const { return bytes_; }
 
  private:
+  /// Adds a segment above the cumulative ACK to the reorder buffer.
+  void Buffer(std::int64_t seq);
+
   net::FlowId flow_;
   net::Address src_;
   net::Address dst_;
   net::PacketIdAllocator& ids_;
-  SendFn send_;
+  net::SendFn send_;
   std::int32_t ack_bytes_;
   std::int64_t cumulative_ = 0;  ///< all segments < cumulative_ received.
   std::int64_t bytes_ = 0;
-  std::set<std::int64_t> out_of_order_;
+  /// Reorder buffer: the distinct segments above a hole, ascending, live
+  /// from index out_of_order_head_ on. Filling the hole advances the head
+  /// instead of erasing, the vector is cleared when the last one drains,
+  /// and a drained prefix is compacted away before the vector would grow.
+  /// So it allocates nothing at construction, its capacity follows the
+  /// high-water mark of buffered segments (not their seq span), and a
+  /// steady state allocates nothing.
+  std::vector<std::int64_t> out_of_order_;
+  std::size_t out_of_order_head_ = 0;
 };
 
 }  // namespace kwikr::transport

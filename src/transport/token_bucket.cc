@@ -6,14 +6,14 @@
 namespace kwikr::transport {
 
 TokenBucket::TokenBucket(sim::EventLoop& loop, Config config,
-                         ForwardFn forward)
+                         net::SendFn forward)
     : loop_(loop),
       config_(config),
       forward_(std::move(forward)),
       tokens_bytes_(static_cast<double>(config.burst_bytes)),
       last_refill_(loop.now()) {}
 
-void TokenBucket::Send(net::Packet packet) {
+void TokenBucket::Send(net::Packet&& packet) {
   if (config_.rate_bps <= 0) {
     Forward(std::move(packet));
     return;
@@ -93,7 +93,7 @@ void TokenBucket::Drain() {
                                   "net.token_drain", std::move(drain));
 }
 
-void TokenBucket::Forward(net::Packet packet) {
+void TokenBucket::Forward(net::Packet&& packet) {
   ++forwarded_;
   forward_(std::move(packet));
 }

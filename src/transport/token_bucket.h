@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "net/packet.h"
 #include "sim/event_loop.h"
@@ -20,20 +19,22 @@ namespace kwikr::transport {
 /// through unconditionally).
 class TokenBucket {
  public:
-  using ForwardFn = std::function<void(net::Packet)>;
-
   struct Config {
     std::int64_t rate_bps = 0;           ///< 0 = unshaped passthrough.
     std::int64_t burst_bytes = 15'000;
     std::size_t queue_capacity_packets = 100;
   };
 
-  TokenBucket(sim::EventLoop& loop, Config config, ForwardFn forward);
+  /// `forward` gets a queued packet by reference to its backlog cell, so it
+  /// must not send into this same bucket.
+  TokenBucket(sim::EventLoop& loop, Config config, net::SendFn forward);
 
   TokenBucket(const TokenBucket&) = delete;
   TokenBucket& operator=(const TokenBucket&) = delete;
 
-  void Send(net::Packet packet);
+  /// Forwards the packet now, queues it for tokens, or drops it when the
+  /// backlog is full.
+  void Send(net::Packet&& packet);
 
   /// Changes the shaping rate; 0 disables shaping and flushes the backlog.
   void SetRate(std::int64_t rate_bps);
@@ -46,11 +47,11 @@ class TokenBucket {
  private:
   void Refill();
   void Drain();
-  void Forward(net::Packet packet);
+  void Forward(net::Packet&& packet);
 
   sim::EventLoop& loop_;
   Config config_;
-  ForwardFn forward_;
+  net::SendFn forward_;
   std::deque<net::Packet> queue_;
   double tokens_bytes_;
   sim::Time last_refill_ = 0;

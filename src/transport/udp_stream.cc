@@ -6,7 +6,7 @@
 namespace kwikr::transport {
 
 UdpCbrSender::UdpCbrSender(sim::EventLoop& loop, net::PacketIdAllocator& ids,
-                           Config config, SendFn send)
+                           Config config, net::SendFn send)
     : loop_(loop),
       ids_(ids),
       config_(config),

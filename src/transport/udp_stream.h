@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/packet.h"
@@ -26,10 +25,8 @@ class UdpCbrSender {
     sim::Duration interval = sim::Millis(20);
   };
 
-  using SendFn = std::function<void(net::Packet)>;
-
   UdpCbrSender(sim::EventLoop& loop, net::PacketIdAllocator& ids,
-               Config config, SendFn send);
+               Config config, net::SendFn send);
 
   void Start();
   void Stop();
@@ -42,7 +39,7 @@ class UdpCbrSender {
   sim::EventLoop& loop_;
   net::PacketIdAllocator& ids_;
   Config config_;
-  SendFn send_;
+  net::SendFn send_;
   sim::PeriodicTimer timer_;
   std::uint64_t sequence_ = 0;
 };

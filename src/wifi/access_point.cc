@@ -51,11 +51,11 @@ void AccessPoint::DetachStation(Station* station) {
   }
 }
 
-void AccessPoint::DeliverFromWan(net::Packet packet) {
+void AccessPoint::DeliverFromWan(net::Packet&& packet) {
   EnqueueDownlink(std::move(packet));
 }
 
-void AccessPoint::SetWanForwarder(std::function<void(net::Packet)> forwarder) {
+void AccessPoint::SetWanForwarder(net::SendFn forwarder) {
   wan_forwarder_ = std::move(forwarder);
 }
 
@@ -199,9 +199,10 @@ void AccessPoint::EnqueueDownlink(net::Packet&& packet) {
   } else {
     rate_bps = station->rate_bps();
   }
-  // Prvalue Frame: elided into Enqueue's parameter and moved straight into
-  // the ring cell — one Frame copy end to end, not three. DropTail forwards
-  // this to the contender unchanged; AQM disciplines stamp and buffer it.
+  // The packet arrives by reference; wrapping it in the Frame temporary is
+  // one copy, and the discipline passes the Frame by reference to where it
+  // is stored: DropTail to the contender's ring cell, an AQM discipline to
+  // its own buffer (and later, from there, to the ring).
   qdisc_[Index(ac)]->Enqueue(
       Frame{std::move(packet), station->owner(), rate_bps});
 }

@@ -57,11 +57,11 @@ class AccessPoint {
   /// Wired-side ingress: routes the packet onto the downlink queue chosen by
   /// its TOS byte (or Best Effort when WMM is off). Unknown destinations are
   /// counted and dropped.
-  void DeliverFromWan(net::Packet packet);
+  void DeliverFromWan(net::Packet&& packet);
 
   /// Installs the wired-side egress used for packets whose destination is
   /// not in this BSS (uplink traffic to servers).
-  void SetWanForwarder(std::function<void(net::Packet)> forwarder);
+  void SetWanForwarder(net::SendFn forwarder);
 
   /// Fault hook: overrides the downlink TOS→AC classification per packet.
   /// Receives the AC the normal path chose and returns the AC to enqueue
@@ -144,7 +144,7 @@ class AccessPoint {
   std::array<AcTxHook, kNumAccessCategories> tx_hooks_;
   bool tx_hooks_bound_ = false;
   std::unordered_map<net::Address, Station*> stations_;
-  std::function<void(net::Packet)> wan_forwarder_;
+  net::SendFn wan_forwarder_;
   DownlinkClassifier downlink_classifier_;
   obs::FlightRecorder* recorder_ = nullptr;
   std::uint64_t unroutable_drops_ = 0;

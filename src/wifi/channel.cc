@@ -41,7 +41,7 @@ ContenderId Channel::CreateContender(OwnerId owner, AccessCategory ac,
   return id;
 }
 
-bool Channel::Enqueue(ContenderId id, Frame frame) {
+bool Channel::Enqueue(ContenderId id, Frame&& frame) {
   assert(id < contenders_.size());
   Contender& c = contenders_[id];
   if (!c.queue.push_back(std::move(frame))) {

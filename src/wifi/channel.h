@@ -114,8 +114,10 @@ class Channel {
                               std::size_t queue_capacity = 512);
 
   /// Enqueues a frame for transmission; returns false (and counts a drop) if
-  /// the queue is full.
-  bool Enqueue(ContenderId id, Frame frame);
+  /// the queue is full. The frame is moved into the contender's ring cell,
+  /// the one copy this hop makes; it must not live in a cell of this
+  /// channel's own queues (ring growth moves cells).
+  bool Enqueue(ContenderId id, Frame&& frame);
 
   /// Installs the wireless frame-error model (default: no errors).
   void SetFrameErrorModel(FrameErrorModel model);

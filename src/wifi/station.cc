@@ -18,16 +18,16 @@ Station::Station(Channel& channel, AccessPoint& ap, Config config)
   ap_->AttachStation(this);
 }
 
-void Station::Send(net::Packet packet) {
+void Station::Send(net::Packet&& packet) {
   const AccessCategory ac = TosToAccessCategory(packet.tos);
-  // Prvalue Frame: elided straight into Enqueue's parameter, which moves
-  // straight into the ring cell — one Frame copy end to end, not three.
+  // The packet arrives by reference; wrapping it in the Frame temporary is
+  // one copy and Enqueue's move into the ring cell is the stored one.
   channel_.Enqueue(uplink_[Index(ac)],
                    Frame{std::move(packet), ap_->owner(), config_.rate_bps});
 }
 
-void Station::AddReceiver(Receiver receiver) {
-  receivers_.push_back(std::move(receiver));
+void Station::AddReceiver(Receiver receiver, net::FlowId flow) {
+  receivers_.push_back(KeyedReceiver{flow, std::move(receiver)});
 }
 
 void Station::SetLinkQuality(LinkQuality quality) {
@@ -80,8 +80,11 @@ std::uint64_t Station::uplink_queue_drops() const {
 
 void Station::OnDownlinkFrame(Frame&& frame) {
   const sim::Time arrival = channel_.loop().now();
-  for (const auto& receiver : receivers_) {
-    receiver(frame.packet, arrival);
+  const net::FlowId flow = frame.packet.flow;
+  for (const KeyedReceiver& keyed : receivers_) {
+    if (keyed.flow == net::kNoFlow || keyed.flow == flow) {
+      keyed.receiver(frame.packet, arrival);
+    }
   }
 }
 

@@ -39,10 +39,12 @@ class Station {
   Station& operator=(const Station&) = delete;
 
   /// Sends a packet uplink through the AC matching its TOS byte.
-  void Send(net::Packet packet);
+  void Send(net::Packet&& packet);
 
-  /// Registers a downlink receiver (multiple allowed; all see every packet).
-  void AddReceiver(Receiver receiver);
+  /// Registers a downlink receiver. One keyed to `flow` sees only that
+  /// flow's packets; an unkeyed one (kNoFlow) sees every packet. A delivery
+  /// calls the matching receivers in registration order.
+  void AddReceiver(Receiver receiver, net::FlowId flow = net::kNoFlow);
 
   /// Adjusts the link (mobility): new MCS rate and frame error probability.
   void SetLinkQuality(LinkQuality quality);
@@ -90,7 +92,11 @@ class Station {
   Config config_;
   OwnerId owner_;
   std::array<ContenderId, kNumAccessCategories> uplink_;
-  std::vector<Receiver> receivers_;
+  struct KeyedReceiver {
+    net::FlowId flow = net::kNoFlow;  ///< kNoFlow: every packet.
+    Receiver receiver;
+  };
+  std::vector<KeyedReceiver> receivers_;
   std::vector<RoamCallback> roam_callbacks_;
   std::unique_ptr<ArfPolicy> arf_;
   double distance_m_ = 0.0;

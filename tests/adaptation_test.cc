@@ -168,9 +168,9 @@ TEST(ArfSim, DownlinkAdaptsPerStation) {
   p.size_bytes = 1000;
   sim::PeriodicTimer stream(testbed.loop(), sim::Millis(5), [&] {
     p.dst = near_station.address();
-    bss.ap().DeliverFromWan(p);
+    bss.ap().DeliverFromWan(net::Packet(p));
     p.dst = far_station.address();
-    bss.ap().DeliverFromWan(p);
+    bss.ap().DeliverFromWan(net::Packet(p));
   });
   stream.Start();
   testbed.loop().RunUntil(sim::Seconds(20));

@@ -39,11 +39,11 @@ TEST(TokenBucketBoundary, ZeroCapacityPolicerForwardsWhileTokensLast) {
   TokenBucket bucket(loop, config, [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 1000;
-  bucket.Send(p);
-  bucket.Send(p);
-  bucket.Send(p);  // exactly drains the burst.
+  bucket.Send(net::Packet(p));
+  bucket.Send(net::Packet(p));
+  bucket.Send(net::Packet(p));  // exactly drains the burst.
   EXPECT_EQ(forwarded, 3);
-  bucket.Send(p);  // no tokens, no queue: policed.
+  bucket.Send(net::Packet(p));  // no tokens, no queue: policed.
   EXPECT_EQ(forwarded, 3);
   EXPECT_EQ(bucket.dropped(), 1u);
   EXPECT_EQ(bucket.backlog(), 0u);
@@ -59,8 +59,9 @@ TEST(TokenBucketBoundary, QueuedPacketForwardsExactlyWhenTokensAccrue) {
                      [&](net::Packet) { forward_times.push_back(loop.now()); });
   net::Packet p;
   p.size_bytes = 1000;
-  bucket.Send(p);  // spends the whole burst.
-  bucket.Send(p);  // queues with a deficit of exactly one refill second.
+  bucket.Send(net::Packet(p));  // spends the whole burst.
+  // Queues with a deficit of exactly one refill second.
+  bucket.Send(net::Packet(p));
   EXPECT_EQ(bucket.backlog(), 1u);
   loop.RunUntil(sim::Seconds(3));
   ASSERT_EQ(forward_times.size(), 2u);
@@ -81,7 +82,7 @@ TEST(TokenBucketBoundary, OversizedHeadWaitsWithoutLivelock) {
   TokenBucket bucket(loop, config, [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 1000;
-  bucket.Send(p);
+  bucket.Send(net::Packet(p));
   EXPECT_EQ(bucket.backlog(), 1u);
   loop.RunUntil(sim::Seconds(1));
   // The head can never drain at this rate; the bucket must go idle instead
@@ -102,7 +103,7 @@ TEST(TokenBucketBoundary, BurstOfPacketsLargerThanQueueCapacityDrops) {
   TokenBucket bucket(loop, config, [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 1000;
-  for (int i = 0; i < 10; ++i) bucket.Send(p);
+  for (int i = 0; i < 10; ++i) bucket.Send(net::Packet(p));
   EXPECT_EQ(forwarded, 1);           // burst covered exactly one packet.
   EXPECT_EQ(bucket.backlog(), 2u);   // queue bound respected.
   EXPECT_EQ(bucket.dropped(), 7u);

@@ -6,8 +6,10 @@
 //                         of every tests/golden cell
 //   wild_fig10.census     events and probe samples of 8 environments x 15 s
 //   fleet_1s.census       the same for 24 environments x 1 s
-//   kernels.census        the saturated channel's frame counters and the
-//                         sparse frame-hop loop's per-round allocations
+//   kernels.census        the saturated channel's frame counters, the
+//                         sparse frame-hop loop's per-round allocations and
+//                         the TCP receive path's per-round segments,
+//                         out-of-order arrivals and allocations
 //
 // A mismatch writes the measured file to <build>/tests/census-diff/ and a match
 // removes it, so that directory holds only the current mismatches. A change
@@ -30,11 +32,13 @@
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "scenario/fault_scenario.h"
+#include "scenario/testbed.h"
 #include "scenario/wild_population.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
 #include "wifi/channel.h"
 #include "wifi/edca.h"
+#include "wifi/station.h"
 
 // Counts every heap allocation in the process. new and new[] are replaced
 // in their plain and aligned forms (sim::FrameRing, behind every contender
@@ -256,6 +260,60 @@ class SaturatedChannel {
   std::uint64_t retry_drops_ = 0;
 };
 
+// ------------------------------------------------------ tcp receive ----
+
+/// One round of the TCP receive kernel.
+struct TcpReceiveRound {
+  std::int64_t segments = 0;      ///< delivered in order, all flows.
+  std::uint64_t out_of_order = 0; ///< arrivals buffered above a hole.
+  std::uint64_t allocations = 0;  ///< heap allocations in the round.
+};
+
+/// Six Reno bulk flows from wired servers to one station whose frames are
+/// lost with probability `kFrameError` per attempt, so AP queue overflow and
+/// retry drops leave holes and segments arrive out of order. Runs `rounds`
+/// rounds of one simulated second each.
+std::vector<TcpReceiveRound> TcpReceiveRounds(int rounds) {
+  constexpr double kFrameError = 0.1;
+  scenario::Testbed testbed;
+  scenario::Bss& bss = testbed.AddBss({});
+  wifi::Station& station =
+      bss.AddStation(testbed.NextStationAddress(), 65'000'000, kFrameError);
+  testbed.InstallStationErrorModel();
+  const std::vector<scenario::CrossFlow*> flows =
+      testbed.AddTcpBulkFlows(bss, station, 6);
+  // Registered after the flows' receivers, so it runs after them: an
+  // arrival above the cumulative ACK its receiver just sent was buffered.
+  std::uint64_t out_of_order = 0;
+  station.AddReceiver([&](const net::Packet& p, sim::Time) {
+    for (const scenario::CrossFlow* flow : flows) {
+      if (flow->flow == p.flow &&
+          p.tcp.seq > flow->receiver->segments_received()) {
+        ++out_of_order;
+      }
+    }
+  });
+  const auto segments = [&] {
+    std::int64_t total = 0;
+    for (const scenario::CrossFlow* flow : flows) {
+      total += flow->receiver->segments_received();
+    }
+    return total;
+  };
+  testbed.StartCrossTraffic();
+  std::vector<TcpReceiveRound> out(static_cast<std::size_t>(rounds));
+  for (TcpReceiveRound& round : out) {
+    const std::uint64_t allocations = Allocations();
+    const std::int64_t segments_before = segments();
+    const std::uint64_t out_of_order_before = out_of_order;
+    testbed.loop().RunFor(sim::Seconds(1));
+    round.allocations = Allocations() - allocations;
+    round.segments = segments() - segments_before;
+    round.out_of_order = out_of_order - out_of_order_before;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------- the census ----
 
 TEST(Census, ScenarioGrid) {
@@ -338,6 +396,16 @@ TEST(Census, Kernels) {
   for (std::size_t round = 1; round < rounds.size(); ++round) {
     census += "sparse_frame_hop round " + std::to_string(round + 1) +
               " allocations " + std::to_string(rounds[round]) + "\n";
+  }
+  census +=
+      "# tcp_receive: six Reno flows to one station losing 10% of frame "
+      "attempts, in 1 s rounds after a 1 s warm-up\n";
+  const std::vector<TcpReceiveRound> tcp = TcpReceiveRounds(12);
+  for (std::size_t round = 1; round < tcp.size(); ++round) {
+    census += "tcp_receive round " + std::to_string(round + 1) +
+              " segments " + std::to_string(tcp[round].segments) +
+              " out_of_order " + std::to_string(tcp[round].out_of_order) +
+              " allocations " + std::to_string(tcp[round].allocations) + "\n";
   }
   ExpectCensus("kernels.census", census);
 }

@@ -76,8 +76,8 @@ TEST(WiredLinkEdge, PropagationOverlapsSerialization) {
   net::WiredLink link(loop, config, on_arrival);
   net::Packet p;
   p.size_bytes = 1000;
-  link.Send(p);
-  link.Send(p);
+  link.Send(net::Packet(p));
+  link.Send(net::Packet(p));
   loop.Run();
   ASSERT_EQ(arrivals.size(), 2u);
   // Pipelined: second arrives 1 ms (serialization) after the first, not
@@ -100,7 +100,7 @@ TEST(TokenBucketEdge, BurstDoesNotAccumulateBeyondCap) {
   loop.RunUntil(sim::Seconds(10));
   net::Packet p;
   p.size_bytes = 1'000;
-  for (int i = 0; i < 5; ++i) bucket.Send(p);
+  for (int i = 0; i < 5; ++i) bucket.Send(net::Packet(p));
   EXPECT_EQ(forwarded, 2);  // only the burst passes instantly.
 }
 
@@ -152,7 +152,8 @@ TEST(ApEdge, PerAcQueueCapacitiesEnforced) {
   net::Packet p;
   p.dst = 100;
   p.size_bytes = 500;
-  for (int i = 0; i < 10; ++i) ap.DeliverFromWan(p);  // BE, capacity 3.
+  // Best effort, capacity 3.
+  for (int i = 0; i < 10; ++i) ap.DeliverFromWan(net::Packet(p));
   EXPECT_EQ(ap.DownlinkQueueLength(wifi::AccessCategory::kBestEffort), 3u);
   EXPECT_EQ(ap.downlink_queue_drops(), 7u);
 }
@@ -172,7 +173,7 @@ TEST(ApEdge, EchoRequestForOtherStationIsRelayedNotAnswered) {
   ping.dst = 101;  // another station, not the AP.
   ping.size_bytes = 64;
   ping.icmp.type = net::IcmpType::kEchoRequest;
-  a.Send(ping);
+  a.Send(net::Packet(ping));
   loop.Run();
   ASSERT_EQ(at_b.size(), 1u);
   EXPECT_EQ(at_b[0].icmp.type, net::IcmpType::kEchoRequest);  // relayed.
@@ -192,7 +193,7 @@ TEST(ApEdge, UplinkQueueDropCounterCounts) {
   p.src = 100;
   p.dst = 5000;
   p.size_bytes = 1000;
-  for (int i = 0; i < 2000; ++i) station.Send(p);
+  for (int i = 0; i < 2000; ++i) station.Send(net::Packet(p));
   EXPECT_GT(station.uplink_queue_drops(), 0u);
 }
 
@@ -396,7 +397,7 @@ TEST(TestbedEdge, ErrorModelUsesStationErrorProb) {
   net::Packet p;
   p.dst = station.address();
   p.size_bytes = 500;
-  bss.ap().DeliverFromWan(p);
+  bss.ap().DeliverFromWan(net::Packet(p));
   testbed.loop().Run();
   EXPECT_EQ(received, 0);  // every attempt failed; frame dropped.
 }
@@ -416,7 +417,7 @@ TEST(TestbedEdge, WanEndpointReceivesAfterDelay) {
   p.src = station.address();
   p.dst = 9000;
   p.size_bytes = 400;
-  station.Send(p);
+  station.Send(net::Packet(p));
   testbed.loop().Run();
   EXPECT_GE(arrival, sim::Millis(25));
 }

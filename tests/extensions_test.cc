@@ -527,8 +527,8 @@ TEST(Handoff, StationRoamSwitchesGatewayAndBss) {
   net::Packet p;
   p.dst = client.address();
   p.size_bytes = 300;
-  bss2.ap().DeliverFromWan(p);
-  bss1.ap().DeliverFromWan(p);
+  bss2.ap().DeliverFromWan(net::Packet(p));
+  bss1.ap().DeliverFromWan(net::Packet(p));
   testbed.loop().Run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(bss1.ap().unroutable_drops(), 1u);

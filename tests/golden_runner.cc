@@ -24,6 +24,7 @@
 // CTest registration exercises --jobs 1 and --jobs 8 for exactly that
 // reason.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +34,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fleet/fleet_runner.h"
@@ -96,7 +98,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--regen-golden") {
       regen = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      // The whole value, >= 0 (0 = one worker per hardware thread), read as
+      // bench::ParseIntFlag reads it: "banana" is no worker count.
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [last, error] = std::from_chars(text, end, jobs);
+      if (error != std::errc() || last != end || jobs < 0) {
+        std::fprintf(stderr, "--jobs wants an integer >= 0, got '%s'\n",
+                     text);
+        return 2;
+      }
     } else if (arg == "--artifacts" && i + 1 < argc) {
       artifacts = argv[++i];
     } else if (arg == "--golden-dir" && i + 1 < argc) {

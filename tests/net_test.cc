@@ -165,10 +165,10 @@ TEST(WiredLink, DeliversAfterSerializationAndPropagation) {
 
   Packet p;
   p.size_bytes = 1000;  // 1 ms serialization.
-  link.Send(p);
+  link.Send(Packet(p));
   // After an idle gap the serializer starts at the send time, not where
   // the previous packet left it.
-  loop.ScheduleAt(sim::Millis(10), [&] { link.Send(p); });
+  loop.ScheduleAt(sim::Millis(10), [&] { link.Send(Packet(p)); });
   loop.Run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], sim::Millis(3));
@@ -186,10 +186,10 @@ TEST(WiredLink, BackToBackPacketsSerialize) {
 
   Packet p;
   p.size_bytes = 1000;
-  link.Send(p);
-  link.Send(p);
+  link.Send(Packet(p));
+  link.Send(Packet(p));
   p.size_bytes = 500;
-  link.Send(p);
+  link.Send(Packet(p));
   loop.Run();
   // Spaced by exactly each packet's own serialization time.
   ASSERT_EQ(arrivals.size(), 3u);
@@ -209,7 +209,7 @@ TEST(WiredLink, DropsWhenQueueFull) {
 
   Packet p;
   p.size_bytes = 100;
-  for (int i = 0; i < 10; ++i) link.Send(p);
+  for (int i = 0; i < 10; ++i) link.Send(Packet(p));
   EXPECT_EQ(link.dropped(), 7u);
   EXPECT_EQ(link.queue_length(), 3u);
   // The queue counts only packets still serializing: the first one is on
@@ -218,8 +218,8 @@ TEST(WiredLink, DropsWhenQueueFull) {
   EXPECT_EQ(link.queue_length(), 2u);
   EXPECT_EQ(link.delivered(), 1u);
   EXPECT_EQ(delivered, 0);
-  link.Send(p);
-  link.Send(p);
+  link.Send(Packet(p));
+  link.Send(Packet(p));
   EXPECT_EQ(link.dropped(), 8u);
   loop.Run();
   EXPECT_EQ(delivered + static_cast<int>(link.dropped()), 12);
@@ -235,7 +235,7 @@ TEST(WiredLink, PreservesOrder) {
     Packet p;
     p.id = i;
     p.size_bytes = 500;
-    link.Send(p);
+    link.Send(Packet(p));
   }
   loop.Run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
@@ -246,8 +246,8 @@ TEST(WiredLink, CountsDelivered) {
   WiredLink link(loop, WiredLink::Config{}, [](Packet&&) {});
   Packet p;
   p.size_bytes = 100;
-  link.Send(p);
-  link.Send(p);
+  link.Send(Packet(p));
+  link.Send(Packet(p));
   loop.Run();
   EXPECT_EQ(link.delivered(), 2u);
   EXPECT_EQ(link.queue_length(), 0u);
@@ -271,9 +271,9 @@ TEST(WiredLink, DeliveryKeepsItsTieBreakPlace) {
   p.size_bytes = 1000;  // 1 ms each: arrivals at 3 and 4 ms.
   loop.ScheduleAt(sim::Millis(3), [&] { order += 'a'; });
   p.id = 1;
-  link.Send(p);
+  link.Send(Packet(p));
   p.id = 2;
-  link.Send(p);
+  link.Send(Packet(p));
   loop.ScheduleAt(sim::Millis(3), [&] { order += 'b'; });
   loop.ScheduleAt(sim::Millis(4), [&] { order += 'c'; });
   loop.Run();
@@ -300,7 +300,7 @@ TEST(WiredLink, HookRunsAtEachSerializationEnd) {
     Packet p;
     p.id = i;
     p.size_bytes = 1000;  // 1 ms each.
-    link.Send(p);
+    link.Send(Packet(p));
   }
   EXPECT_EQ(link.queue_length(), 5u);
   loop.Run();
@@ -332,8 +332,8 @@ TEST(WiredLink, DestroyedLinkNeverFiresACallback) {
     p.size_bytes = 1000;
     for (std::uint64_t i = 1; i <= 4; ++i) {
       p.id = i;
-      plain.Send(p);
-      hooked.Send(p);
+      plain.Send(Packet(p));
+      hooked.Send(Packet(p));
     }
     // Mid-flight: serializer, line and jitter events all pending.
     loop.RunUntil(sim::Micros(250));

@@ -41,7 +41,7 @@ TEST_P(TokenBucketRateSweep, SustainedOutputMatchesConfiguredRate) {
   sim::PeriodicTimer offer(loop, interval, [&] {
     net::Packet p;
     p.size_bytes = 500;
-    bucket.Send(p);
+    bucket.Send(net::Packet(p));
   });
   offer.Start();
   loop.RunUntil(sim::Seconds(20));
@@ -280,7 +280,7 @@ TEST_P(WiredLinkRateSweep, SaturatedLinkDeliversAtLineRate) {
                            [&] {
                              net::Packet p;
                              p.size_bytes = 1000;
-                             wire.Send(p);
+                             wire.Send(net::Packet(p));
                            });
   offer.Start();
   loop.RunUntil(sim::Seconds(10));

@@ -59,7 +59,7 @@ struct ProbedClient {
       p.protocol = net::Protocol::kUdp;
       p.dst = sink->address();
       p.size_bytes = bytes;
-      bss->ap().DeliverFromWan(p);
+      bss->ap().DeliverFromWan(std::move(p));
     }
   }
 };

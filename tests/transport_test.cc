@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
 #include "net/wired_link.h"
 #include "sim/event_loop.h"
+#include "sim/rng.h"
 #include "transport/tcp_reno.h"
 #include "transport/token_bucket.h"
 #include "transport/udp_stream.h"
@@ -24,7 +27,7 @@ TEST(TokenBucket, RateZeroPassesThrough) {
                      [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 100'000;  // way beyond any burst.
-  bucket.Send(p);
+  bucket.Send(net::Packet(p));
   EXPECT_EQ(forwarded, 1);
   EXPECT_EQ(bucket.backlog(), 0u);
 }
@@ -38,9 +41,9 @@ TEST(TokenBucket, BurstPassesImmediately) {
   TokenBucket bucket(loop, config, [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 1000;
-  bucket.Send(p);
-  bucket.Send(p);
-  bucket.Send(p);
+  bucket.Send(net::Packet(p));
+  bucket.Send(net::Packet(p));
+  bucket.Send(net::Packet(p));
   EXPECT_EQ(forwarded, 3);
 }
 
@@ -58,7 +61,7 @@ TEST(TokenBucket, SustainedRateMatchesConfig) {
     loop.ScheduleAt(sim::Millis(t), [&bucket] {
       net::Packet p;
       p.size_bytes = 200;
-      bucket.Send(p);
+      bucket.Send(net::Packet(p));
     });
   }
   loop.RunUntil(sim::Seconds(10));
@@ -75,7 +78,7 @@ TEST(TokenBucket, OverflowDrops) {
   TokenBucket bucket(loop, config, [](net::Packet) {});
   net::Packet p;
   p.size_bytes = 1000;
-  for (int i = 0; i < 20; ++i) bucket.Send(p);
+  for (int i = 0; i < 20; ++i) bucket.Send(net::Packet(p));
   EXPECT_GT(bucket.dropped(), 0u);
   EXPECT_LE(bucket.backlog(), 5u);
 }
@@ -89,7 +92,7 @@ TEST(TokenBucket, DisablingFlushesBacklog) {
   TokenBucket bucket(loop, config, [&](net::Packet) { ++forwarded; });
   net::Packet p;
   p.size_bytes = 1000;
-  for (int i = 0; i < 5; ++i) bucket.Send(p);
+  for (int i = 0; i < 5; ++i) bucket.Send(net::Packet(p));
   EXPECT_EQ(forwarded, 0);
   bucket.SetRate(0);
   EXPECT_EQ(forwarded, 5);
@@ -109,7 +112,7 @@ TEST(TokenBucket, RateChangeTakesEffect) {
     loop.ScheduleAt(sim::Millis(t), [&bucket] {
       net::Packet p;
       p.size_bytes = 500;
-      bucket.Send(p);
+      bucket.Send(net::Packet(p));
     });
   }
   loop.ScheduleAt(sim::Seconds(2), [&bucket] { bucket.SetRate(800'000); });
@@ -452,6 +455,140 @@ TEST(TcpRenoReceiver, DuplicateSegmentsNotDoubleCounted) {
   receiver.OnSegment(p, 0);
   receiver.OnSegment(p, 0);
   EXPECT_EQ(receiver.segments_received(), 1);
+}
+
+/// The receive logic TcpRenoReceiver had with a std::set reorder buffer:
+/// the reference its vector buffer must reproduce segment by segment.
+class SetReceiverOracle {
+ public:
+  explicit SetReceiverOracle(net::FlowId flow) : flow_(flow) {}
+
+  /// The cumulative ACK sent for `segment`, or -1 when it is not ours.
+  std::int64_t OnSegment(const net::Packet& segment) {
+    if (segment.protocol != net::Protocol::kTcp || segment.tcp.is_ack ||
+        segment.flow != flow_) {
+      return -1;
+    }
+    const std::int64_t seq = segment.tcp.seq;
+    if (seq == cumulative_ && out_of_order_.empty()) {
+      ++cumulative_;
+      bytes_ += segment.size_bytes - 40;
+    } else if (seq >= cumulative_) {
+      out_of_order_.insert(seq);
+      while (!out_of_order_.empty() &&
+             *out_of_order_.begin() == cumulative_) {
+        out_of_order_.erase(out_of_order_.begin());
+        ++cumulative_;
+        bytes_ += segment.size_bytes - 40;
+      }
+    }
+    return cumulative_;
+  }
+  [[nodiscard]] std::int64_t segments_received() const { return cumulative_; }
+  [[nodiscard]] std::int64_t bytes_received() const { return bytes_; }
+
+ private:
+  net::FlowId flow_;
+  std::int64_t cumulative_ = 0;
+  std::int64_t bytes_ = 0;
+  std::set<std::int64_t> out_of_order_;
+};
+
+TEST(TcpRenoReceiver, ReorderBufferMatchesSetOracle) {
+  net::PacketIdAllocator ids;
+  std::int64_t ack = -1;
+  int acks = 0;
+  TcpRenoReceiver receiver(1, 20, 10, ids, [&](net::Packet&& p) {
+    ack = p.tcp.ack;
+    ++acks;
+  });
+  SetReceiverOracle oracle(1);
+  sim::Rng rng(29);
+  constexpr int kArrivals = 200'000;
+  std::int64_t next = 0;             // the next new segment.
+  std::int64_t last = 0;             // the previous arrival's seq.
+  std::vector<std::int64_t> held;    // holes: segments held back.
+  std::vector<std::int64_t> burst;   // queued arrivals, emitted first.
+  int stale = 0;
+  int buffered = 0;
+  for (int i = 0; i < kArrivals; ++i) {
+    net::Packet p;
+    p.protocol = net::Protocol::kTcp;
+    p.flow = 1;
+    constexpr std::int32_t kSizes[] = {1500, 1000, 576, 41};
+    p.size_bytes = kSizes[rng.UniformInt(0, 3)];
+    const double u = rng.UniformDouble();
+    if (!burst.empty()) {
+      p.tcp.seq = burst.back();
+      burst.pop_back();
+    } else if (u < 0.50 || (u < 0.62 && held.empty())) {
+      // New data, leaving a hole now and then.
+      if (rng.Bernoulli(0.08)) held.push_back(next++);
+      p.tcp.seq = next++;
+    } else if (u < 0.62) {
+      // A retransmission fills a random hole.
+      const auto k = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(held.size()) - 1));
+      p.tcp.seq = held[k];
+      held[k] = held.back();
+      held.pop_back();
+    } else if (u < 0.70) {
+      // A duplicate of a recent segment, buffered or not.
+      p.tcp.seq = rng.UniformInt(std::max<std::int64_t>(0, next - 64), next);
+    } else if (u < 0.76) {
+      // The previous arrival again, often the highest one buffered.
+      p.tcp.seq = last;
+    } else if (u < 0.85) {
+      // A stale retransmission below the cumulative ACK.
+      p.tcp.seq = rng.UniformInt(0, std::max<std::int64_t>(0, next - 1));
+    } else if (u < 0.93) {
+      // A jump past everything buffered, reached later by the stream.
+      p.tcp.seq = next + rng.UniformInt(1, 4096);
+    } else if (u < 0.935 && i >= kArrivals / 2) {
+      // In the second half, a jump no stream here reaches: it stays
+      // buffered to the end, above every later arrival.
+      p.tcp.seq = next + rng.UniformInt(1'000'000, 1'000'000'000);
+    } else if (u < 0.936) {
+      // A long run behind one hole grows the buffer to a new high-water
+      // mark; the retransmission that ends it drains the whole run.
+      held.push_back(next++);
+      const std::int64_t run = rng.UniformInt(100, 3000);
+      for (std::int64_t k = run - 1; k >= 0; --k) burst.push_back(next + k);
+      next += run;
+      p.tcp.seq = burst.back();
+      burst.pop_back();
+    } else if (u < 0.95) {
+      // Not this receiver's: another flow, or an ACK.
+      p.tcp.seq = next;
+      if (rng.Bernoulli(0.5)) {
+        p.flow = 2;
+      } else {
+        p.tcp.is_ack = true;
+      }
+    } else {
+      p.tcp.seq = next++;
+    }
+    last = p.tcp.seq;
+    if (p.tcp.seq < receiver.segments_received()) ++stale;
+    if (p.tcp.seq > receiver.segments_received()) ++buffered;
+    const int acks_before = acks;
+    receiver.OnSegment(p, 0);
+    const std::int64_t want = oracle.OnSegment(p);
+    if (want < 0) {
+      ASSERT_EQ(acks, acks_before) << "arrival " << i;
+    } else {
+      ASSERT_EQ(acks, acks_before + 1) << "arrival " << i;
+      ASSERT_EQ(ack, want) << "arrival " << i << " seq " << p.tcp.seq;
+    }
+    ASSERT_EQ(receiver.segments_received(), oracle.segments_received())
+        << "arrival " << i;
+    ASSERT_EQ(receiver.bytes_received(), oracle.bytes_received())
+        << "arrival " << i;
+  }
+  // The stream kept moving and every arrival kind occurred often.
+  EXPECT_GT(receiver.segments_received(), 100'000);
+  EXPECT_GT(stale, 10'000);
+  EXPECT_GT(buffered, 10'000);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -564,7 +565,7 @@ TEST_F(BssFixture, EchoRequestGetsReplyWithSameTosAndIds) {
   ping.icmp.type = net::IcmpType::kEchoRequest;
   ping.icmp.ident = 0xAB;
   ping.icmp.sequence = 17;
-  station.Send(ping);
+  station.Send(net::Packet(ping));
   loop.Run();
 
   ASSERT_EQ(received.size(), 1u);
@@ -585,12 +586,12 @@ TEST_F(BssFixture, WanTrafficRoutedByTosToAcQueues) {
   voice.dst = 100;
   voice.tos = net::kTosVoice;
   voice.size_bytes = 500;
-  ap.DeliverFromWan(voice);
+  ap.DeliverFromWan(net::Packet(voice));
   net::Packet best_effort;
   best_effort.dst = 100;
   best_effort.tos = net::kTosBestEffort;
   best_effort.size_bytes = 500;
-  ap.DeliverFromWan(best_effort);
+  ap.DeliverFromWan(net::Packet(best_effort));
 
   EXPECT_EQ(ap.DownlinkQueueLength(AccessCategory::kVoice), 1u);
   EXPECT_EQ(ap.DownlinkQueueLength(AccessCategory::kBestEffort), 1u);
@@ -608,7 +609,7 @@ TEST_F(BssFixture, WmmDisabledCollapsesToBestEffort) {
   voice.dst = 200;
   voice.tos = net::kTosVoice;
   voice.size_bytes = 500;
-  plain_ap.DeliverFromWan(voice);
+  plain_ap.DeliverFromWan(net::Packet(voice));
   EXPECT_EQ(plain_ap.DownlinkQueueLength(AccessCategory::kVoice), 0u);
   EXPECT_EQ(plain_ap.DownlinkQueueLength(AccessCategory::kBestEffort), 1u);
 }
@@ -617,7 +618,7 @@ TEST_F(BssFixture, UnknownDestinationCountsUnroutable) {
   net::Packet p;
   p.dst = 9999;
   p.size_bytes = 100;
-  ap.DeliverFromWan(p);
+  ap.DeliverFromWan(net::Packet(p));
   EXPECT_EQ(ap.unroutable_drops(), 1u);
 }
 
@@ -631,7 +632,7 @@ TEST_F(BssFixture, UplinkForwardsToWan) {
   p.src = 100;
   p.dst = 5000;  // not in the BSS
   p.size_bytes = 300;
-  station.Send(p);
+  station.Send(net::Packet(p));
   loop.Run();
   ASSERT_EQ(wan.size(), 1u);
   EXPECT_EQ(wan[0].dst, 5000u);
@@ -648,7 +649,7 @@ TEST_F(BssFixture, StationToStationRelaysThroughDownlink) {
   p.src = 100;
   p.dst = 101;
   p.size_bytes = 400;
-  a.Send(p);
+  a.Send(net::Packet(p));
   loop.Run();
   ASSERT_EQ(at_b.size(), 1u);
 }
@@ -662,10 +663,47 @@ TEST_F(BssFixture, MultipleReceiversAllSeePackets) {
   net::Packet p;
   p.dst = 100;
   p.size_bytes = 100;
-  ap.DeliverFromWan(p);
+  ap.DeliverFromWan(net::Packet(p));
   loop.Run();
   EXPECT_EQ(count_a, 1);
   EXPECT_EQ(count_b, 1);
+}
+
+TEST_F(BssFixture, KeyedReceiversSeeOnlyTheirFlow) {
+  Station station(channel, ap, {.address = 100, .rate_bps = 26'000'000});
+  // Each receiver logs its flow key; the catch-alls log -1 and -2.
+  std::vector<int> calls;
+  station.AddReceiver(
+      [&](const net::Packet&, sim::Time) { calls.push_back(-1); });
+  for (net::FlowId flow = 1; flow <= 12; ++flow) {
+    station.AddReceiver(
+        [&calls, flow](const net::Packet& p, sim::Time) {
+          EXPECT_EQ(p.flow, flow);
+          calls.push_back(static_cast<int>(flow));
+        },
+        flow);
+  }
+  station.AddReceiver(
+      [&](const net::Packet&, sim::Time) { calls.push_back(-2); });
+
+  net::Packet segment;
+  segment.protocol = net::Protocol::kTcp;
+  segment.dst = 100;
+  segment.flow = 7;
+  segment.size_bytes = 1500;
+  ap.DeliverFromWan(std::move(segment));
+  loop.Run();
+  EXPECT_EQ(calls, (std::vector<int>{-1, 7, -2}));
+
+  calls.clear();
+  net::Packet echo;
+  echo.protocol = net::Protocol::kIcmp;
+  echo.dst = 100;
+  echo.size_bytes = 84;
+  ASSERT_EQ(echo.flow, net::kNoFlow);
+  ap.DeliverFromWan(std::move(echo));
+  loop.Run();
+  EXPECT_EQ(calls, (std::vector<int>{-1, -2}));
 }
 
 TEST_F(BssFixture, UplinkUsesAccessCategoryFromTos) {
@@ -679,7 +717,7 @@ TEST_F(BssFixture, UplinkUsesAccessCategoryFromTos) {
   p.dst = 5000;
   p.tos = net::kTosVoice;
   p.size_bytes = 100;
-  station.Send(p);
+  station.Send(net::Packet(p));
   loop.Run();
   ASSERT_EQ(wan.size(), 1u);
   EXPECT_EQ(wan[0].mac.access_category,
@@ -696,10 +734,10 @@ TEST_F(BssFixture, LinkQualityChangeAffectsDeliveredRate) {
   net::Packet p;
   p.dst = 100;
   p.size_bytes = 500;
-  ap.DeliverFromWan(p);
+  ap.DeliverFromWan(net::Packet(p));
   loop.Run();
   station.SetLinkQuality(LinkQuality{6'500'000, 0.1});
-  ap.DeliverFromWan(p);
+  ap.DeliverFromWan(net::Packet(p));
   loop.Run();
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received[0].mac.data_rate_bps, 65'000'000);
